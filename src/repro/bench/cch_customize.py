@@ -9,6 +9,14 @@ scratch.  Exactness is asserted (not timed) before and after the
 epochs: every sampled customized-index distance must equal Dijkstra's
 bit-for-bit.
 
+Two informational rows keep the comparison honest.  Query latency is
+reported against A* on the frozen snapshot — what ``repro serve``
+runs when it has no index — as well as against plain Dijkstra; the
+target (not a gate) is CCH no slower than A* at ``large``.  And the
+customization pass is timed under both of its loops, the level-vectorised
+numpy one and the scalar one ``REPRO_KERNEL=csr`` pins, which must leave
+identical shortcut weights.
+
 Timing uses best-of-``rounds`` (minimum) for the customization pass and
 the minimum of the legacy builds for the rebuild — the same "how fast
 can this code go" estimator the other kernel suites use, so scheduler
@@ -17,10 +25,12 @@ noise cannot manufacture a pass either way.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List
+from unittest import mock
 
 from .knobs import env_float, env_int, env_str
 from .registry import SuiteContext, SuiteRun, suite
@@ -55,7 +65,9 @@ def run_cch_customize(
     from ..index.cch import CustomizableContractionHierarchy
     from ..index.ch import ContractionHierarchy
     from ..network.generators import beijing_like
+    from ..search.astar import a_star
     from ..search.dijkstra import dijkstra
+    from ..search.np_kernels import BACKEND_KNOB, kernel_backend, np_available
 
     failures: List[str] = []
     lines = [f"network        : beijing_like({scale!r})"]
@@ -93,7 +105,8 @@ def run_cch_customize(
     )
     lines.append(
         f"cch order      : {cch.order_seconds * 1e3:.0f} ms "
-        f"({cch.num_super_edges} super-edges, {cch.num_triangles} triangles)"
+        f"({cch.num_super_edges} super-edges, {cch.num_triangles} triangles "
+        f"in {cch.num_levels} levels)"
     )
     lines.append(f"cch customize  : {cch.customize_seconds * 1e3:.1f} ms (initial)")
     check_exact(cch, "cch (initial)")
@@ -107,6 +120,22 @@ def run_cch_customize(
     lines.append(
         f"re-customize   : {customize_seconds * 1e3:.1f} ms "
         f"(best of {rounds}, after {epochs} weight epochs)"
+    )
+
+    # --- the same pass under the scalar loop (REPRO_KERNEL=csr) -------
+    vectorized = np_available() and kernel_backend() != "csr"
+    vectorized_weights = cch.shortcut_weights()
+    with mock.patch.dict(os.environ, {BACKEND_KNOB: "csr"}):
+        scalar_seconds = _best_of(cch.customize, rounds)
+    if cch.shortcut_weights() != vectorized_weights:
+        failures.append("scalar and numpy customization disagree on weights")
+    lines.append(
+        f"scalar loop    : {scalar_seconds * 1e3:.1f} ms "
+        + (
+            f"({scalar_seconds / max(customize_seconds, 1e-12):.1f}x the numpy loop)"
+            if vectorized
+            else "(numpy loop unavailable: the row above is scalar too)"
+        )
     )
 
     # --- the rebuild the legacy index would need for the same epochs --
@@ -132,10 +161,19 @@ def run_cch_customize(
         for s, t in pairs:
             dijkstra(graph, s, t)
 
+    def astar_queries() -> None:
+        for s, t in pairs:
+            a_star(graph, s, t)
+
     cch_query_us = _best_of(cch_queries, rounds) / queries * 1e6
     dijkstra_query_us = _best_of(dijkstra_queries, rounds) / queries * 1e6
+    # ``serve`` without an index answers by A* on the frozen snapshot.
+    graph.freeze()
+    astar_query_us = _best_of(astar_queries, rounds) / queries * 1e6
     lines.append(
         f"query latency  : cch {cch_query_us:.0f} us, "
+        f"a* {astar_query_us:.0f} us "
+        f"({astar_query_us / max(cch_query_us, 1e-9):.1f}x), "
         f"dijkstra {dijkstra_query_us:.0f} us "
         f"({dijkstra_query_us / max(cch_query_us, 1e-9):.1f}x)"
     )
@@ -161,6 +199,10 @@ def run_cch_customize(
                                tolerance_pct=60.0),
         "dijkstra_query_us": Metric(dijkstra_query_us, unit="us", kind="time",
                                     tolerance_pct=60.0),
+        "astar_query_us": Metric(astar_query_us, unit="us", kind="time",
+                                 tolerance_pct=60.0),
+        "cch_customize_scalar_ms": Metric(scalar_seconds * 1e3, unit="ms",
+                                          kind="time", tolerance_pct=40.0),
         "budget_failures": Metric(float(len(failures)), kind="info"),
     }
     return CchOutcome(metrics=metrics, rendered="\n".join(lines),

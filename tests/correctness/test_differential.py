@@ -10,11 +10,13 @@ cheap enough for tier-1.
 """
 
 import math
+import os
 import random
 from typing import Dict
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.index.cch import CustomizableContractionHierarchy
 from repro.index.ch import ContractionHierarchy
@@ -310,6 +312,34 @@ TestCchMutationInterleaving = CchMutationMachine.TestCase
 TestCchMutationInterleaving.settings = settings(
     CORRECTNESS, stateful_step_count=15
 )
+
+
+class CchTwoLoopsMachine(CchMutationMachine):
+    """The same interleavings with a scalar-loop twin: after every step
+    the level-vectorised and the scalar customization of the current
+    metric must agree on every shortcut weight, every triangle choice
+    and every unpacked path (one layout, two loops)."""
+
+    def __init__(self):
+        super().__init__()
+        self.twin = CustomizableContractionHierarchy(self.graph)
+
+    @invariant()
+    def loops_agree(self):
+        with mock.patch.dict(os.environ, {"REPRO_KERNEL": "auto"}):
+            self.cch.customize()
+        with mock.patch.dict(os.environ, {"REPRO_KERNEL": "csr"}):
+            self.twin.customize()
+        assert self.twin.rank == self.cch.rank
+        assert self.twin.shortcut_weights() == self.cch.shortcut_weights()
+        assert self.twin._up_tri == self.cch._up_tri  # noqa: SLF001
+        assert self.twin._down_tri == self.cch._down_tri  # noqa: SLF001
+        s, t = self.graph.version % self.n, (7 * self.graph.version + 3) % self.n
+        assert self.twin.query(s, t).path == self.cch.query(s, t).path
+
+
+TestCchTwoLoops = CchTwoLoopsMachine.TestCase
+TestCchTwoLoops.settings = settings(CORRECTNESS, stateful_step_count=15)
 
 
 class TestCchCustomizationIdempotent:

@@ -1,13 +1,15 @@
 """Unit tests for the customizable contraction hierarchy."""
 
 import math
+import time
 
 import pytest
 
-from repro.exceptions import IndexConstructionError, StaleIndexError
+from repro.exceptions import IndexConstructionError, QueryError, StaleIndexError
 from repro.index.cch import CustomizableContractionHierarchy
 from repro.network.generators import grid_city
 from repro.network.graph import RoadNetwork
+from repro.obs import MetricsRegistry, use_registry
 from repro.search.dijkstra import dijkstra, sssp_distances
 from tests.conftest import assert_valid_path
 
@@ -137,3 +139,172 @@ class TestEpochKeying:
         assert cch.order_builds == 2
         assert cch.distance(0, 24) == 0.5
         assert cch.distance(1, 24) == dijkstra(g, 1, 24).distance
+
+
+# ----------------------------------------------------------------------
+# Flat layout, level schedule and the two customization loops
+# ----------------------------------------------------------------------
+def _unit_grid(rows: int, cols: int) -> RoadNetwork:
+    """A street grid with every weight set to 1: every distance ties."""
+    g = grid_city(rows, cols, seed=1)
+    for u, v, _w in list(g.edges()):
+        g.set_weight(u, v, 1.0)
+    return g
+
+
+def _customized_state(index, monkeypatch, backend):
+    """Re-customize under ``REPRO_KERNEL=backend``; weights + triangle picks."""
+    monkeypatch.setenv("REPRO_KERNEL", backend)
+    index.customize()
+    return (
+        index.shortcut_weights(),
+        list(index._up_tri),  # noqa: SLF001 - the loops must agree on these
+        list(index._down_tri),  # noqa: SLF001
+    )
+
+
+class TestEndpointValidation:
+    @pytest.mark.parametrize("s,t,bad", [(-1, 3, -1), (3, 99, 99), (25, 0, 25)])
+    def test_out_of_range_vertex_raises_query_error(self, cch, s, t, bad):
+        with pytest.raises(QueryError) as err:
+            cch.query(s, t)
+        assert str(bad) in str(err.value)
+        assert "|V| = 25" in str(err.value)
+
+    def test_distance_validates_too(self, cch):
+        with pytest.raises(QueryError):
+            cch.distance(0, -2)
+
+
+class TestTimingAttribution:
+    def test_order_rebuild_not_booked_as_customization(
+        self, small_grid, monkeypatch
+    ):
+        g = small_grid.copy()
+        cch = CustomizableContractionHierarchy(g)
+        g.scale_weights(1.2)
+        cch.customize()  # a weight-only epoch, for scale
+        assert cch.customize_seconds < 0.2
+
+        rebuild = CustomizableContractionHierarchy._build_order
+        stall = 0.25
+
+        def slow_rebuild(self):
+            time.sleep(stall)
+            rebuild(self)
+
+        monkeypatch.setattr(
+            CustomizableContractionHierarchy, "_build_order", slow_rebuild
+        )
+        g.add_edge(0, 24, 0.5)  # outside the chordal closure
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            began = time.perf_counter()
+            returned = cch.customize()
+            wall = time.perf_counter() - began
+        assert cch.order_builds == 2
+        assert wall >= stall
+        assert returned == cch.customize_seconds < 0.2
+        snap = registry.snapshot()
+        assert snap.counters["index.order_builds"] == 1
+        assert snap.histograms["index.customize_seconds"]["sum"] < 0.2
+
+
+class TestLevelSchedule:
+    @pytest.mark.parametrize(
+        "graph",
+        [grid_city(5, 5, seed=8), grid_city(4, 7, seed=3), _unit_grid(4, 4)],
+        ids=["grid5", "grid4x7", "unit4"],
+    )
+    def test_triangles_read_lower_levels_than_they_write(self, graph):
+        cch = CustomizableContractionHierarchy(graph)
+        tail, head = cch._tail, cch._head  # noqa: SLF001
+        # level(v) = 1 + max level of v's lower neighbours, recomputed
+        # here from the super-edges (sorted by rank of their tail).
+        level = [0] * graph.num_vertices
+        for e in range(cch.num_super_edges):
+            level[head[e]] = max(level[head[e]], level[tail[e]] + 1)
+        by_rank = sorted(range(graph.num_vertices), key=cch.rank.__getitem__)
+        assert [level[v] for v in by_rank] == sorted(level), "rank is level-major"
+        first = cch._level_first  # noqa: SLF001
+        assert len(first) == cch.num_levels + 1 == max(level) + 2
+        assert first[0] == 0 and first[-1] == cch.num_triangles
+        for k in range(cch.num_levels):
+            for t in range(first[k], first[k + 1]):
+                ab = cch._tri_ab[t]  # noqa: SLF001
+                va = cch._tri_va[t]  # noqa: SLF001
+                vb = cch._tri_vb[t]  # noqa: SLF001
+                assert tail[va] == tail[vb], "both lower legs leave v"
+                assert (tail[ab], head[ab]) == (head[va], head[vb])
+                assert level[tail[va]] == k
+                assert level[tail[ab]] > k, "writes go to higher levels only"
+
+    def test_arc_slots_cover_every_arc(self, small_grid, cch):
+        m = cch.num_super_edges
+        tail, head = cch._tail, cch._head  # noqa: SLF001
+        arcs = list(small_grid.edges())
+        assert len(cch._arc_slot) == len(arcs)  # noqa: SLF001
+        for (u, v, _w), slot in zip(arcs, cch._arc_slot):  # noqa: SLF001
+            e = slot % m
+            assert (u, v) == ((tail[e], head[e]) if slot < m else (head[e], tail[e]))
+
+
+class TestTwoLoopsOneLayout:
+    """numpy-by-level and scalar customization must be indistinguishable."""
+
+    def _assert_loops_agree(self, graph, monkeypatch):
+        index = CustomizableContractionHierarchy(graph)
+        vectorized = _customized_state(index, monkeypatch, "auto")
+        paths = {
+            (s, t): index.query(s, t).path
+            for s in range(0, graph.num_vertices, 2)
+            for t in range(0, graph.num_vertices, 3)
+        }
+        scalar = _customized_state(index, monkeypatch, "csr")
+        assert scalar == vectorized
+        for (s, t), path in paths.items():
+            r = index.query(s, t)
+            assert r.path == path
+            assert r.distance == dijkstra(graph, s, t).distance
+        return index
+
+    def test_random_weights(self, small_grid, monkeypatch):
+        self._assert_loops_agree(small_grid.copy(), monkeypatch)
+
+    def test_exact_ties_unit_weights(self, monkeypatch):
+        index = self._assert_loops_agree(_unit_grid(5, 5), monkeypatch)
+        # Ties everywhere: some shortcut must have had several triangles
+        # attain its minimum, so the first-in-rank-order rule was exercised.
+        assert any(t >= 0 for t in index._up_tri)  # noqa: SLF001
+
+    def test_across_weight_epochs_and_topology_growth(
+        self, small_grid, monkeypatch
+    ):
+        g = small_grid.copy()
+        a = CustomizableContractionHierarchy(g)
+        b = CustomizableContractionHierarchy(g)
+        edges = [(u, v) for u, v, _w in g.edges()]
+        assert not g.has_edge(1, 5) and not g.has_edge(5, 1)
+        mutations = [  # (mutation, order builds expected afterwards)
+            (lambda: g.scale_weights(1.7), 1),
+            (lambda: g.set_weight(*edges[3], 0.05), 1),
+            (lambda: g.scale_weights(0.5, edges=edges[5:11]), 1),
+            (lambda: g.add_edge(1, 5, 0.4), 1),  # a fill-in edge: arcs re-mapped only
+            (lambda: g.add_edge(0, 24, 0.5), 2),  # outside the chordal closure
+            (lambda: g.set_weight(0, 24, 9.0), 2),
+        ]
+        for mutate, order_builds in mutations:
+            mutate()
+            assert _customized_state(a, monkeypatch, "auto") == _customized_state(
+                b, monkeypatch, "csr"
+            )
+            assert a.rank == b.rank
+            assert a.order_builds == b.order_builds == order_builds
+            for s, t in [(0, 24), (24, 0), (7, 18), (20, 4)]:
+                assert a.query(s, t).path == b.query(s, t).path
+                assert a.distance(s, t) == dijkstra(g, s, t).distance
+
+    def test_unpacked_distance_is_the_paths_own_prefix_sum(self, small_grid, cch):
+        for s, t in [(0, 24), (3, 20), (10, 14), (24, 1)]:
+            r = cch.query(s, t)
+            assert r.distance == small_grid.path_prefix_weights(r.path)[-1]
