@@ -66,10 +66,11 @@ def main() -> None:
         report = service.run(arrivals)
 
     events = {round(at, 3): label for at, label, _ in timeline.applied}
-    print(f"\n{'cut(s)':>7} | {'size':>4} | {'trig':<8} | {'hits':>4} | {'event':<14}")
-    print("-" * 52)
+    print(f"\n{'cut(s)':>7} | {'size':>4} | {'trig':<9} | {'hits':>4} | {'event':<14}")
+    print("-" * 53)
     for w in report.windows:
-        # A timeline event fires when a window cut advances past its stamp.
+        # A timeline event fires when a window cut advances past its stamp
+        # (or an arrival does, while no window is pending).
         label = ""
         if w.timeline_events:
             label = next(
@@ -79,13 +80,13 @@ def main() -> None:
             for at in [a for a in events if a <= w.cut_at]:
                 label = events.pop(at)
         print(
-            f"{w.cut_at:>7.2f} | {w.queries:>4} | {w.trigger:<8} | "
+            f"{w.cut_at:>7.2f} | {w.queries:>4} | {w.trigger:<9} | "
             f"{w.cache_hits:>4} | {label:<14}"
         )
 
-    print("-" * 52)
+    print("-" * 53)
     print(
-        f"windows={len(report.windows)} {report.windows_by_trigger}, "
+        f"records={len(report.windows)} {report.windows_by_trigger}, "
         f"answered={report.answered_queries}/{report.total_arrivals}, "
         f"dead-lettered={len(report.dead_letters)}"
     )

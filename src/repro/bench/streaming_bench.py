@@ -57,7 +57,7 @@ def bench_one(graph, arrivals, workers: int, *, scale: str, rate: float,
         "qps": round(report.qps, 2),
         "p50_latency_ms": round(report.p50_latency * 1000, 2),
         "p99_latency_ms": round(report.p99_latency * 1000, 2),
-        "windows": len(report.windows),
+        "windows": len(report.micro_batch_windows),
         "windows_by_trigger": report.windows_by_trigger,
         "cache_hits": report.stream_cache_hits,
         "shed_degraded": report.shed_degraded,

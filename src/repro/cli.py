@@ -402,7 +402,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .obs import MetricsRegistry, use_registry, write_metrics_json
     from .queries.arrivals import PoissonArrivals, stream_statistics
-    from .streaming import ArrivalJournal, StreamingQueryService
+    from .streaming import (
+        TRIGGER_ADMISSION,
+        ArrivalJournal,
+        StreamingQueryService,
+    )
 
     if args.recover and not args.journal:
         raise SystemExit("--recover requires --journal")
@@ -503,11 +507,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"{stats['duration']:.2f}s (rate {stats['rate']:.1f} qps, "
           f"cv {stats['cv']:.2f})")
     print(f"clock         : {args.clock}")
-    triggers = ", ".join(
-        f"{k}={v}" for k, v in sorted(report.windows_by_trigger.items())
-    )
-    print(f"windows       : {len(report.windows)} ({triggers or 'none'}), "
-          f"mean size {report.mean_window_size:.1f}")
+    by_trigger = report.windows_by_trigger
+    admission_records = by_trigger.pop(TRIGGER_ADMISSION, 0)
+    triggers = ", ".join(f"{k}={v}" for k, v in sorted(by_trigger.items()))
+    print(f"windows       : {sum(by_trigger.values())} "
+          f"({triggers or 'none'}), "
+          f"mean size {report.mean_window_size:.1f}; "
+          f"sealed at admission {report.sealed_at_admission_cache} cache / "
+          f"{report.sealed_at_admission_index} index "
+          f"({admission_records} records)")
     print(f"answered      : {report.answered_queries}")
     print(f"shed          : {report.shed_degraded} degraded, "
           f"{report.shed_dropped} dropped "
@@ -531,7 +539,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"{report.stream_cache_invalidations} invalidations")
     if args.index != "none":
         print(f"index         : {args.index} "
-              f"({report.index_served_windows} windows served, "
+              f"({report.sealed_at_admission_index} answered on arrival, "
+              f"{report.index_served_windows} records served, "
               f"{report.index_customizations} re-customizations)")
     print(f"latency       : p50 {report.p50_latency * 1000:.1f} ms, "
           f"p99 {report.p99_latency * 1000:.1f} ms")

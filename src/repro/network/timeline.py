@@ -165,3 +165,14 @@ class TrafficTimeline:
     @property
     def pending_events(self) -> int:
         return len(self._events) - self._next
+
+    @property
+    def next_event_at(self) -> Optional[float]:
+        """Instant of the earliest event not yet fired (``None`` when exhausted).
+
+        Lets a caller ask "would ``advance_to(t)`` change the metric?"
+        (``next_event_at <= t``) without advancing the clock.
+        """
+        if self._next < len(self._events):
+            return self._events[self._next].at_seconds
+        return None

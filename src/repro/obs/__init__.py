@@ -64,6 +64,7 @@ __all__ = [
     "get_registry",
     "load_metrics_json",
     "read_jsonl",
+    "record_admission_sealed",
     "record_cache",
     "record_customize",
     "record_dead_letters",
@@ -323,6 +324,21 @@ def record_stream_window(size: int, trigger: str, span_seconds: float) -> None:
         reg.histogram("streaming.window_span_seconds", TIME_BUCKETS).observe(
             max(0.0, span_seconds)
         )
+
+
+def record_admission_sealed(cache: int, index: int) -> None:
+    """Count the arrivals one admission record sealed without a window.
+
+    ``cache`` were exact stream-cache hits, ``index`` were answered by the
+    customizable index on arrival.  Called once per record, not per query.
+    """
+    reg = get_registry()
+    if not reg.enabled:
+        return
+    if cache:
+        reg.counter("streaming.admission_sealed.cache").add(cache)
+    if index:
+        reg.counter("streaming.admission_sealed.index").add(index)
 
 
 def record_stream_shed(degraded: int = 0, dropped: int = 0, stalls: int = 0) -> None:

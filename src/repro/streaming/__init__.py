@@ -36,6 +36,7 @@ from .microbatch import (
     assemble_micro_batches,
 )
 from .service import (
+    TRIGGER_ADMISSION,
     StreamingQueryService,
     StreamReport,
     StreamWindowRecord,
@@ -56,6 +57,7 @@ __all__ = [
     "MonotonicClock",
     "SimulatedClock",
     "make_clock",
+    "TRIGGER_ADMISSION",
     "TRIGGER_DURATION",
     "TRIGGER_FLUSH",
     "TRIGGER_SIZE",

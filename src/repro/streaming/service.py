@@ -12,6 +12,14 @@ load-shedding policy, and hands each assembled window to the existing
 or the multiprocess :class:`~repro.parallel.ParallelBatchEngine`,
 depending on ``workers``.
 
+Queries only wait for a window when the window can help them.  The
+**admission stage** (:meth:`StreamingQueryService._admit`) answers on
+arrival whatever shares no work with its neighbours — an exact
+stream-cache hit, or any query when a customizable index serves the
+misses — and seals it into an *admission record*; only a cache miss
+bound for the batch backend goes on through admission control to the
+micro-batcher.
+
 Two pieces make it a *streaming* system rather than a loop around the
 batch one:
 
@@ -39,6 +47,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -50,6 +59,7 @@ from ..obs import (
     MetricsSnapshot,
     TIME_BUCKETS,
     get_registry,
+    record_admission_sealed,
     record_dead_letters,
     record_deadline,
     record_journal,
@@ -100,15 +110,38 @@ def latency_percentile(sorted_latencies: List[float], p: float) -> float:
     return percentile(sorted_latencies, p * 100.0, default=0.0, assume_sorted=True)
 
 
+#: ``StreamWindowRecord.trigger`` of an admission record (not a
+#: micro-batch cut: nothing in it waited for a window).
+TRIGGER_ADMISSION = "admission"
+
+#: How an arrival sealed at admission was answered.
+_SEALED_CACHE = "cache"
+_SEALED_INDEX = "index"
+_SEALED_SHED = "shed"
+
+
 @dataclass
 class StreamWindowRecord:
-    """One dispatched micro-batch window, as the operator sees it."""
+    """One run of sealed arrivals, as the operator sees it.
+
+    Either a dispatched micro-batch window, or an *admission record*
+    (``trigger == "admission"``, ``index == -1``): the consecutive
+    arrivals sealed on arrival between two record boundaries.  Records
+    are appended in completion order, so ``StreamReport.answers`` is the
+    concatenation of the records' answers, and every answer of a record
+    was computed under the metric current at the record's ``cut_at``.
+    """
 
     index: int
     trigger: str
     opened_at: float
+    #: Micro-batch window: the scheduled cut.  Admission record: the
+    #: stream instant of its last seal (a shed-degraded answer computed
+    #: while a due event waits for a pending window's cut is stamped just
+    #: before that event, inside the span of the metric it saw).
     cut_at: float
     completed_at: float
+    #: Arrivals whose fate the record sealed (answered or dead-lettered).
     queries: int
     #: Queries answered straight from the cross-window path cache.
     cache_hits: int
@@ -118,7 +151,8 @@ class StreamWindowRecord:
     #: The streaming breaker was open (or dispatch failed) and the window
     #: was answered by per-query Dijkstra instead of the backend.
     breaker_degraded: bool = False
-    #: Timeline events fired when the window's cut advanced the clock.
+    #: Timeline events fired when the window's cut — or, for an admission
+    #: record, the arrival that opened it — advanced the timeline.
     timeline_events: int = 0
     #: Cache misses were answered by the customizable index (``--index
     #: cch``) rather than the batch backend.
@@ -126,14 +160,35 @@ class StreamWindowRecord:
 
 
 @dataclass
+class _OpenAdmissionRecord:
+    """The admission record still accumulating seals."""
+
+    opened_at: float
+    cut_at: float
+    completed_at: float
+    timeline_events: int
+    #: ``len(report.latencies)`` when the record opened: its own
+    #: latencies are the tail from here (nothing else appends meanwhile).
+    first_latency: int
+    queries: int = 0
+    cache_hits: int = 0
+    index_served: int = 0
+
+
+@dataclass
 class StreamReport:
     """Aggregate outcome of one streaming run."""
 
+    #: Micro-batch windows and admission records, in completion order.
     windows: List[StreamWindowRecord] = field(default_factory=list)
     #: Every answered ``(query, result)`` pair, in completion order
-    #: (includes cache hits and shed-degraded answers).
+    #: (includes cache hits and shed-degraded answers): the records'
+    #: answers, concatenated record by record.
     answers: List[AnswerPair] = field(default_factory=list)
-    #: End-to-end seconds (arrival -> answer) per answered arrival.
+    #: End-to-end seconds (arrival -> answer), one per answered arrival,
+    #: in completion order: record by record like ``answers``, but inside
+    #: a micro-batch window in arrival order, so the two lists are not
+    #: parallel.
     latencies: List[float] = field(default_factory=list)
     dead_letters: List[DeadLetterRecord] = field(default_factory=list)
     total_arrivals: int = 0
@@ -153,9 +208,15 @@ class StreamReport:
     unadmitted_arrivals: int = 0
     #: Arrivals replayed from a journal rather than freshly stamped.
     replayed_arrivals: int = 0
+    #: Arrivals answered from the stream cache / probed and then answered
+    #: by a search (one count per arrival, however often it was probed).
     stream_cache_hits: int = 0
     stream_cache_misses: int = 0
     stream_cache_invalidations: int = 0
+    #: Arrivals sealed on arrival, without waiting for a window: exact
+    #: stream-cache hits, and cache misses answered by the index.
+    sealed_at_admission_cache: int = 0
+    sealed_at_admission_index: int = 0
     #: Index re-customizations triggered by weight epochs during the run
     #: (the initial customization at service construction is not counted).
     index_customizations: int = 0
@@ -179,6 +240,11 @@ class StreamReport:
         return self.total_arrivals - self.answered_queries - len(self.dead_letters)
 
     @property
+    def micro_batch_windows(self) -> List[StreamWindowRecord]:
+        """The records that are dispatched windows (not admission records)."""
+        return [w for w in self.windows if w.trigger != TRIGGER_ADMISSION]
+
+    @property
     def windows_by_trigger(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for w in self.windows:
@@ -191,13 +257,16 @@ class StreamReport:
 
     @property
     def index_served_windows(self) -> int:
+        """Records — windows or admission records — with index answers."""
         return sum(1 for w in self.windows if w.index_served)
 
     @property
     def mean_window_size(self) -> float:
-        if not self.windows:
+        """Mean queries per micro-batch window (admission records excluded)."""
+        windows = self.micro_batch_windows
+        if not windows:
             return 0.0
-        return sum(w.queries for w in self.windows) / len(self.windows)
+        return sum(w.queries for w in windows) / len(windows)
 
     def latency_seconds(self, p: float) -> float:
         return latency_percentile(sorted(self.latencies), p)
@@ -235,6 +304,8 @@ class StreamingQueryService:
         Duration trigger: maximum time a window stays open.
     max_batch:
         Size trigger: maximum queries per window (``None`` = timer only).
+        Admission records close on the same two triggers, so the journal
+        is flushed at the window cadence whichever path a query takes.
     queue_capacity / shed_policy / degrade_budget:
         Admission control (see :class:`~repro.streaming.admission.
         AdmissionController`).
@@ -247,31 +318,37 @@ class StreamingQueryService:
         instance.
     timeline:
         Optional :class:`~repro.network.timeline.TrafficTimeline`;
-        advanced to each window's cut instant, so weight epochs interleave
-        with windows exactly as stamped.
+        advanced to each window's cut instant — and, while no window is
+        pending, to the instant of an arrival that finds an event due — so
+        weight epochs interleave with answers exactly as stamped.  A
+        query sealed at admission is answered under the metric current at
+        its admission instant, a windowed one under the metric at its cut.
     index:
         ``"none"`` (default) dispatches cache misses to the batch
         backend; ``"cch"`` answers them from a
         :class:`~repro.index.cch.CustomizableContractionHierarchy`
-        instead.  The index is keyed to ``graph.version``: a timeline
-        epoch (or any weight mutation) fired at a window cut triggers a
-        re-customization *before* the window is answered, so hierarchy
-        queries always see the current metric — never a stale shortcut.
-        Unexpected index failures degrade the window to per-query
-        Dijkstra, the same ladder the breaker uses.
+        instead — on arrival, since an index query shares no work with
+        its window.  The index is keyed to ``graph.version``: a timeline
+        epoch (or any weight mutation) triggers one re-customization
+        *before* the next query is answered, so hierarchy queries always
+        see the current metric — never a stale shortcut.  An unexpected
+        index failure degrades that query to plain Dijkstra.
     stream_cache_bytes:
         Byte budget of the cross-window path cache (``0`` disables it).
     service_seconds_per_query:
         Simulated-clock only: deterministic processing cost charged per
-        dispatched query, so overload (and therefore shedding and
-        backpressure) can be reproduced exactly in tests.
+        dispatched query (and per index answer at admission; a cache hit
+        sealed at admission is free), so overload (and therefore shedding
+        and backpressure) can be reproduced exactly in tests.
     breaker:
         Streaming-level :class:`~repro.resilience.CircuitBreaker`
         guarding backend dispatch; when open, windows degrade to
         per-query Dijkstra (exact, cache-free) instead of failing.
     query_deadline_seconds:
         Per-query end-to-end budget, measured on the *stream* clock from
-        each query's arrival.  A query whose budget is spent before its
+        each query's arrival.  A query whose budget is already spent when
+        it is admitted is never answered on arrival; it takes the window
+        path, where a query whose budget is spent before its
         window dispatches is dead-lettered (``deadline-exceeded``); a
         query cut off mid-search by the cooperative kernel check is
         re-answered by plain Dijkstra if budget remains, else
@@ -336,6 +413,11 @@ class StreamingQueryService:
         self.journal = journal
         self.drain_after_seconds = drain_after_seconds
         self._drain_requested = False
+        # Admission stage: the record collecting what is sealed on arrival,
+        # and timeline events an arrival fired that no record carries yet.
+        self._admission_record: Optional[_OpenAdmissionRecord] = None
+        self._fired_on_arrival = 0
+        self._invalidations_published = 0
         # The stream-level fault plan is the backend's plan: the "stream"
         # site belongs to this layer, every other site to the backend.
         self._fault_plan = backend_options.get("fault_plan")
@@ -447,7 +529,9 @@ class StreamingQueryService:
                     now,
                     report.unadmitted_arrivals,
                 )
-            # 1. Admit every arrival that is due, shedding on overflow.
+            self._close_admission_record_if_due(now, report)
+            # 1. Admit every arrival that is due: seal on arrival what no
+            #    window can help, enqueue the rest, shedding on overflow.
             while i < len(events) and events[i].arrival <= now:
                 self._admit(events[i], report)
                 i += 1
@@ -481,12 +565,20 @@ class StreamingQueryService:
             else:
                 target = min(deadline, next_arrival)
             assert target is not None
+            if self._admission_record is not None:
+                # Wake to close the record on schedule, so its journal
+                # done-records are flushed even when traffic pauses.
+                target = min(
+                    target,
+                    self._admission_record.opened_at + self.window_seconds,
+                )
             if (
                 self.drain_after_seconds is not None
                 and not self._drain_requested
             ):
                 target = min(target, self.drain_after_seconds)
             self.clock.advance_to(target)
+        self._close_admission_record(report)
         if self.journal is not None:
             self.journal.flush()
         report.wall_seconds = self.clock.now() - started_at
@@ -494,8 +586,6 @@ class StreamingQueryService:
         report.shed_dropped = self.admission.shed_dropped
         report.backpressure_stalls = self.admission.backpressure_stalls
         if self._stream_cache is not None:
-            report.stream_cache_hits = self._stream_cache.hits
-            report.stream_cache_misses = self._stream_cache.misses
             report.stream_cache_invalidations = self._stream_cache.invalidations
         if registry.enabled:
             report.metrics = registry.snapshot()
@@ -535,7 +625,72 @@ class StreamingQueryService:
             self.journal.append_done(tq.seq, outcome)
 
     # ------------------------------------------------------------------
+    # Admission stage: seal on arrival, or enqueue for a window
+    # ------------------------------------------------------------------
     def _admit(self, tq: TimedQuery, report: StreamReport) -> None:
+        """Decide on arrival whether a window can do anything for ``tq``.
+
+        An exact stream-cache hit is sealed at once; with an index, so is
+        a miss (one ``ensure_current()`` per epoch, then the query).  Only
+        a miss bound for the batch backend shares work with its
+        neighbours, and only it goes on to admission control and the
+        micro-batcher.
+        """
+        now = self.clock.now()
+        if self._may_answer_on_arrival(tq, now, report):
+            pair = self._cache_answer(tq.query)
+            if pair is not None:
+                self._seal(tq, [pair], _SEALED_CACHE, now, report)
+                return
+            if self._index is not None:
+                if self._index.ensure_current():
+                    report.index_customizations += 1
+                pairs = self._answer_by_index([tq.query], report.dead_letters)
+                self._cache_answers(pairs)
+                if self.service_seconds_per_query > 0:
+                    self.clock.sleep(self.service_seconds_per_query)
+                self._seal(tq, pairs, _SEALED_INDEX, now, report)
+                return
+        self._enqueue(tq, now, report)
+
+    def _may_answer_on_arrival(
+        self, tq: TimedQuery, now: float, report: StreamReport
+    ) -> bool:
+        """Whether an answer computed right now is one ``tq`` may be given.
+
+        Not when its deadline budget is already spent (the deadline ladder
+        decides its fate), and not under a metric that stream time has
+        left: an event due while nothing waits is fired here, before the
+        answer; while a window is pending it must fire at that window's
+        cut, so the arrival joins the window instead.
+        """
+        if self._stream_cache is None and self._index is None:
+            return False
+        if (
+            self.query_deadline_seconds is not None
+            and now >= tq.arrival + self.query_deadline_seconds
+        ):
+            return False
+        if self._event_due(now) is None:
+            return True
+        if self.admission.depth or self.batcher.pending:
+            return False
+        # A record never straddles an epoch: close it under the old metric.
+        self._close_admission_record(report)
+        self._fired_on_arrival += self.timeline.advance_to(now)
+        return True
+
+    def _event_due(self, now: float) -> Optional[float]:
+        """Instant of the earliest timeline event due by ``now`` and not
+        yet fired, if there is one."""
+        if self.timeline is None:
+            return None
+        due = self.timeline.next_event_at
+        return due if due is not None and due <= now else None
+
+    def _enqueue(self, tq: TimedQuery, now: float, report: StreamReport) -> None:
+        """Admission control in front of the micro-batcher, shedding on
+        overflow (degrade before drop)."""
         outcome = self.admission.admit(tq)
         if outcome == ADMITTED:
             return
@@ -560,33 +715,148 @@ class StreamingQueryService:
         # loses batching/caching benefit but the answer stays exact.
         record_stream_shed(degraded=1)
         pairs = self._answer_by_dijkstra(
-            QuerySet([tq.query]), report.dead_letters, reason=REASON_SHED
+            [tq.query], report.dead_letters, reason=REASON_SHED
         )
-        completion = self.clock.now()
-        for pair in pairs:
-            report.answers.append(pair)
-            self._record_latency(report, completion - tq.arrival)
-        self._journal_done(
-            tq, OUTCOME_ANSWERED if pairs else OUTCOME_DEAD_LETTER
-        )
+        # The queue is full, so an event that is due has not fired (it waits
+        # for the pending window's cut): the answer is under the metric in
+        # force until that event, and is stamped inside that metric's span.
+        due = self._event_due(now)
+        instant = now if due is None else math.nextafter(due, -math.inf)
+        self._seal(tq, pairs, _SEALED_SHED, instant, report)
 
-    def _record_latency(self, report: StreamReport, latency: float) -> None:
-        latency = max(0.0, latency)
-        report.latencies.append(latency)
+    def _seal(
+        self,
+        tq: TimedQuery,
+        pairs: List[AnswerPair],
+        path: str,
+        instant: float,
+        report: StreamReport,
+    ) -> None:
+        """Seal one arrival's fate now, into the open admission record.
+
+        ``pairs`` is its answer, or empty when answering dead-lettered it;
+        ``instant`` the stream time whose metric the answer was computed
+        under.
+        """
+        self._close_admission_record_if_due(instant, report)
+        record = self._admission_record
+        if record is None:
+            record = self._admission_record = _OpenAdmissionRecord(
+                opened_at=instant,
+                cut_at=instant,
+                completed_at=instant,
+                timeline_events=self._fired_on_arrival,
+                first_latency=len(report.latencies),
+            )
+            self._fired_on_arrival = 0
+        record.queries += 1
+        record.cut_at = instant
+        record.completed_at = completion = self.clock.now()
+        if path == _SEALED_CACHE:
+            record.cache_hits += 1
+        elif path == _SEALED_INDEX:
+            record.index_served += 1
+        if pairs:
+            report.answers.extend(pairs)
+            report.latencies.append(max(0.0, completion - tq.arrival))
+            self._journal_done(tq, OUTCOME_ANSWERED)
+        else:
+            self._journal_done(tq, OUTCOME_DEAD_LETTER)
+        if self.max_batch is not None and record.queries >= self.max_batch:
+            self._close_admission_record(report)
+
+    def _close_admission_record_if_due(
+        self, now: float, report: StreamReport
+    ) -> None:
+        record = self._admission_record
+        if record is not None and now >= record.opened_at + self.window_seconds:
+            self._close_admission_record(report)
+
+    def _close_admission_record(self, report: StreamReport) -> None:
+        """Append the open admission record to the report and flush the
+        journal, so what was sealed on arrival is as durable as a window.
+
+        Called before a window appends its own record, before any timeline
+        advance that can fire an event, at the window cadence
+        (``max_batch`` seals / ``window_seconds`` open) and at end of run.
+        Metrics are published here, once per record, not once per query.
+        """
+        record = self._admission_record
+        if record is None:
+            return
+        self._admission_record = None
+        report.windows.append(
+            StreamWindowRecord(
+                index=-1,
+                trigger=TRIGGER_ADMISSION,
+                opened_at=record.opened_at,
+                cut_at=record.cut_at,
+                completed_at=record.completed_at,
+                queries=record.queries,
+                cache_hits=record.cache_hits,
+                report=None,
+                timeline_events=record.timeline_events,
+                index_served=record.index_served > 0,
+            )
+        )
+        report.sealed_at_admission_cache += record.cache_hits
+        report.sealed_at_admission_index += record.index_served
+        self._count_cache_probes(
+            report, hits=record.cache_hits, misses=record.index_served
+        )
+        record_admission_sealed(record.cache_hits, record.index_served)
+        if record.index_served:
+            self._count_index_served_record()
+        self._publish_latencies(report, record.first_latency)
+        if self.journal is not None:
+            self.journal.flush()
+
+    def _count_cache_probes(
+        self, report: StreamReport, hits: int, misses: int
+    ) -> None:
+        """Book one record's arrivals as stream-cache hits or misses.
+
+        Counted per arrival when its fate is sealed, not per lookup: a miss
+        probed at admission and again at its window's cut is one miss.
+        """
+        cache = self._stream_cache
+        if cache is None:
+            return
+        report.stream_cache_hits += hits
+        report.stream_cache_misses += misses
+        flushed = cache.invalidations - self._invalidations_published
+        self._invalidations_published = cache.invalidations
+        record_stream_cache(hits, misses, flushed)
+
+    def _count_index_served_record(self) -> None:
         registry = get_registry()
         if registry.enabled:
-            registry.histogram("streaming.latency_seconds", TIME_BUCKETS).observe(
-                latency
+            registry.counter("streaming.index_served_windows").add(1)
+
+    def _publish_latencies(self, report: StreamReport, first: int) -> None:
+        registry = get_registry()
+        if registry.enabled:
+            histogram = registry.histogram(
+                "streaming.latency_seconds", TIME_BUCKETS
             )
+            for latency in report.latencies[first:]:
+                histogram.observe(latency)
 
     # ------------------------------------------------------------------
+    # Window stage: what admission enqueued, cut by the micro-batcher
+    # ------------------------------------------------------------------
     def _dispatch(self, window: MicroWindow, report: StreamReport) -> None:
-        fired = 0
+        # Records go out in completion order and never straddle an epoch:
+        # what was sealed on arrival is closed before this window advances
+        # the timeline or appends its own record.
+        self._close_admission_record(report)
+        fired = self._fired_on_arrival
+        self._fired_on_arrival = 0
         if self.timeline is not None and window.cut_at > self.timeline.clock:
             # Weight epochs follow the stream clock; a version bump here
             # invalidates the cross-window cache (checked at next probe),
             # flushes the dynamic session and re-forks the worker pool.
-            fired = self.timeline.advance_to(window.cut_at)
+            fired += self.timeline.advance_to(window.cut_at)
         record_stream_window(len(window), window.trigger, window.span_seconds)
         registry = get_registry()
         backend_report: Optional[WindowReport] = None
@@ -598,17 +868,19 @@ class StreamingQueryService:
             trigger=window.trigger,
             queries=len(window),
         ):
+            # Probed again although admission already missed: a path
+            # inserted by an earlier window of the same backlog must hit.
             cache_pairs, missed = self._probe_cache(window)
-            answered: List[AnswerPair] = list(cache_pairs)
+            searched: List[AnswerPair] = []
             # Queries whose stream-clock budget was spent waiting in the
             # backlog never reach a search: deterministic dead-letter.
-            missed, already_expired = self._partition_expired(missed)
+            live, already_expired = self._partition_expired(missed)
             for tq in already_expired:
                 self._dead_letter_deadline(
                     tq, report, detail="budget spent waiting for dispatch"
                 )
-            if missed:
-                batch = QuerySet(tq.query for tq in missed)
+            if live:
+                batch = QuerySet(tq.query for tq in live)
                 if self._index is not None:
                     # The timeline advance above happens *before* this
                     # point, so a fired epoch has already bumped
@@ -617,20 +889,19 @@ class StreamingQueryService:
                     if self._index.ensure_current():
                         report.index_customizations += 1
                     index_served = True
-                    pairs = self._answer_by_index(batch, report.dead_letters)
-                    answered.extend(pairs)
-                    self._cache_answers(pairs)
+                    searched = self._answer_by_index(batch, report.dead_letters)
+                    self._cache_answers(searched)
                 elif not self.breaker.allow():
                     breaker_degraded = True
-                    answered.extend(
-                        self._answer_by_dijkstra(batch, report.dead_letters)
+                    searched = self._answer_by_dijkstra(
+                        batch, report.dead_letters
                     )
                 else:
                     try:
                         backend_report = self.backend.process_window(
                             batch,
                             index=window.index,
-                            deadline=self._backend_deadline(missed),
+                            deadline=self._backend_deadline(live),
                         )
                     except Exception as exc:
                         self.breaker.record_failure()
@@ -642,33 +913,52 @@ class StreamingQueryService:
                             exc,
                         )
                         breaker_degraded = True
-                        answered.extend(
-                            self._answer_by_dijkstra(batch, report.dead_letters)
+                        searched = self._answer_by_dijkstra(
+                            batch, report.dead_letters
                         )
                     else:
                         self.breaker.record_success()
-                        kept, recovered = self._degrade_deadline_letters(
-                            backend_report.dead_letters, missed, report
+                        kept, searched = self._degrade_deadline_letters(
+                            backend_report.dead_letters, live, report
                         )
                         report.dead_letters.extend(kept)
-                        answered.extend(recovered)
                         if backend_report.answer is not None:
-                            answered.extend(backend_report.answer.answers)
+                            searched.extend(backend_report.answer.answers)
                             self._cache_answers(backend_report.answer.answers)
         if breaker_degraded and registry.enabled:
             registry.counter("streaming.breaker_degraded_windows").add(1)
-        if index_served and registry.enabled:
-            registry.counter("streaming.index_served_windows").add(1)
+        if index_served:
+            self._count_index_served_record()
+        self._count_cache_probes(
+            report, hits=len(cache_pairs), misses=len(missed)
+        )
         if self.service_seconds_per_query > 0:
             # Deterministic processing cost: only meaningful on the
             # simulated clock (the real clock pays genuine wall time).
             self.clock.sleep(self.service_seconds_per_query * len(window))
         completion = self.clock.now()
-        answered_keys = {(q.source, q.target) for q, _ in answered}
+        # Fates are sealed per arrival, not per OD pair: two arrivals of one
+        # pair may end differently (one expired in the backlog, one live).
+        # Each answer the searches returned settles one live arrival of its
+        # pair; a live arrival left over was dead-lettered by its search.
+        owed = Counter((q.source, q.target) for q, _ in searched)
+        unanswered = {id(tq) for tq in already_expired}
+        for tq in live:
+            key = (tq.query.source, tq.query.target)
+            if owed[key]:
+                owed[key] -= 1
+            else:
+                unanswered.add(id(tq))
+        first_latency = len(report.latencies)
         for tq in window.arrivals:
-            if (tq.query.source, tq.query.target) in answered_keys:
-                self._record_latency(report, completion - tq.arrival)
-        report.answers.extend(answered)
+            if id(tq) in unanswered:
+                self._journal_done(tq, OUTCOME_DEAD_LETTER)
+            else:
+                report.latencies.append(max(0.0, completion - tq.arrival))
+                self._journal_done(tq, OUTCOME_ANSWERED)
+        self._publish_latencies(report, first_latency)
+        report.answers.extend(cache_pairs)
+        report.answers.extend(searched)
         report.windows.append(
             StreamWindowRecord(
                 index=window.index,
@@ -685,14 +975,6 @@ class StreamingQueryService:
             )
         )
         if self.journal is not None:
-            for tq in window.arrivals:
-                key = (tq.query.source, tq.query.target)
-                self._journal_done(
-                    tq,
-                    OUTCOME_ANSWERED
-                    if key in answered_keys
-                    else OUTCOME_DEAD_LETTER,
-                )
             self.journal.flush()
         if self._fault_plan is not None and self._fault_plan.stream_fault(
             window.index
@@ -812,38 +1094,40 @@ class StreamingQueryService:
         return kept, recovered
 
     # ------------------------------------------------------------------
+    def _cache_answer(self, q: Query) -> Optional[AnswerPair]:
+        """``q`` answered from the stream cache, or ``None`` unless the hit
+        is exact."""
+        if self._stream_cache is None:
+            return None
+        hit = self._stream_cache.lookup(q.source, q.target)
+        if hit is None or not hit.exact:
+            return None
+        return (
+            q,
+            PathResult(
+                q.source,
+                q.target,
+                hit.distance,
+                list(hit.path),
+                visited=0,
+                exact=True,
+            ),
+        )
+
     def _probe_cache(
         self, window: MicroWindow
     ) -> Tuple[List[AnswerPair], List[TimedQuery]]:
         """Split a window into cache-answered pairs and misses to dispatch."""
         if self._stream_cache is None:
             return [], list(window.arrivals)
-        cache = self._stream_cache
-        h0, m0, inv0 = cache.hits, cache.misses, cache.invalidations
         pairs: List[AnswerPair] = []
         missed: List[TimedQuery] = []
         for tq in window.arrivals:
-            q = tq.query
-            hit = cache.lookup(q.source, q.target)
-            if hit is not None and hit.exact:
-                pairs.append(
-                    (
-                        q,
-                        PathResult(
-                            q.source,
-                            q.target,
-                            hit.distance,
-                            list(hit.path),
-                            visited=0,
-                            exact=True,
-                        ),
-                    )
-                )
+            pair = self._cache_answer(tq.query)
+            if pair is not None:
+                pairs.append(pair)
             else:
                 missed.append(tq)
-        record_stream_cache(
-            cache.hits - h0, cache.misses - m0, cache.invalidations - inv0
-        )
         return pairs, missed
 
     def _cache_answers(self, pairs: List[AnswerPair]) -> None:
@@ -867,7 +1151,7 @@ class StreamingQueryService:
 
     def _answer_by_index(
         self,
-        batch: QuerySet,
+        batch: Iterable[Query],
         dead_letters: List[DeadLetterRecord],
     ) -> List[AnswerPair]:
         """Answer cache misses from the customized hierarchy (exact).
@@ -943,7 +1227,7 @@ class StreamingQueryService:
 
     def _answer_by_dijkstra(
         self,
-        batch: QuerySet,
+        batch: Iterable[Query],
         dead_letters: List[DeadLetterRecord],
         reason: str = REASON_WINDOW_DEGRADED,
     ) -> List[AnswerPair]:

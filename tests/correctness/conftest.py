@@ -13,12 +13,14 @@ conftests would otherwise race to load a global profile.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 from hypothesis import HealthCheck, settings, strategies as st
 
 from repro.network.generators import beijing_like, grid_city, ring_radial_city
 from repro.queries.workload import WorkloadGenerator
+from repro.search.dijkstra import dijkstra
 
 #: Deterministic, database-free settings applied per test: every run
 #: replays the same 200 examples, so failures reproduce everywhere.
@@ -69,3 +71,25 @@ def graph_key_and_pair(draw):
     source = draw(st.integers(min_value=0, max_value=n - 1))
     target = draw(st.integers(min_value=0, max_value=n - 1))
     return graph_key, source, target
+
+
+def assert_records_replay(report, offline_graph, offline_timeline) -> None:
+    """Slice a stream report's answers by its records and check each
+    against Dijkstra on ``offline_graph``, with ``offline_timeline`` (a
+    same-seed twin of the run's own) advanced to the record's ``cut_at``:
+    every answer was computed under the metric its record's instant names.
+    """
+    offset = 0
+    for w in report.windows:
+        if w.cut_at > offline_timeline.clock:
+            offline_timeline.advance_to(w.cut_at)
+        for q, r in report.answers[offset:offset + w.queries]:
+            truth = dijkstra(offline_graph, q.source, q.target).distance
+            assert math.isclose(
+                r.distance, truth, rel_tol=1e-9, abs_tol=1e-12
+            ), (
+                f"{w.trigger} record cut {w.cut_at!r}: {q.source}->{q.target} "
+                f"answered {r.distance!r}, offline replay says {truth!r}"
+            )
+        offset += w.queries
+    assert offset == len(report.answers) > 0

@@ -40,6 +40,22 @@ class TestScheduling:
         with pytest.raises(ConfigurationError):
             timeline.schedule(5.0, congestion_snapshot(0.1))
 
+    def test_next_event_at_is_the_head_of_the_sorted_pending_suffix(self, city):
+        timeline = TrafficTimeline(city, seed=1)
+        assert timeline.next_event_at is None
+        timeline.schedule(10.0, congestion_snapshot(0.1))
+        timeline.schedule(5.0, congestion_snapshot(0.1))  # out of order
+        assert timeline.next_event_at == 5.0
+        timeline.advance_to(4.9)  # nothing due: asking never advances
+        assert timeline.next_event_at == 5.0
+        assert timeline.advance_to(5.0) == 1
+        assert timeline.next_event_at == 10.0
+        timeline.schedule(7.0, congestion_snapshot(0.1))  # ahead of the head
+        assert timeline.next_event_at == 7.0
+        timeline.advance_to(20.0)
+        assert timeline.next_event_at is None
+        assert timeline.pending_events == 0
+
     def test_events_fire_once(self, city):
         timeline = TrafficTimeline(city, seed=1)
         timeline.schedule(1.0, congestion_snapshot(0.1))

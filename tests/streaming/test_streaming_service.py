@@ -13,7 +13,11 @@ from repro.queries.query import Query
 from repro.queries.workload import WorkloadGenerator
 from repro.resilience import CircuitBreaker, REASON_SHED, STAGE_ADMISSION
 from repro.search.dijkstra import dijkstra
-from repro.streaming import StreamingQueryService, assemble_micro_batches
+from repro.streaming import (
+    TRIGGER_ADMISSION,
+    StreamingQueryService,
+    assemble_micro_batches,
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,12 +98,24 @@ class TestDeterminism:
         self, stream_graph, stream
     ):
         """With no service cost and a roomy queue, the online loop must
-        produce exactly the windows of the offline replay function."""
+        produce exactly the windows of the offline replay function over
+        the arrivals that were not sealed at admission."""
         report = run_service(stream_graph, stream)
-        expected = assemble_micro_batches(stream, 0.25, 32)
-        assert [(w.index, w.trigger, w.queries) for w in report.windows] == [
-            (w.index, w.trigger, len(w)) for w in expected
-        ]
+        sealed_on_arrival = set()
+        offset = 0
+        for record in report.windows:
+            if record.trigger == TRIGGER_ADMISSION:
+                sealed_on_arrival.update(
+                    id(q)
+                    for q, _ in report.answers[offset:offset + record.queries]
+                )
+            offset += record.queries
+        assert sealed_on_arrival, "stream should repeat enough to hit the cache"
+        missed = [tq for tq in stream if id(tq.query) not in sealed_on_arrival]
+        expected = assemble_micro_batches(missed, 0.25, 32)
+        assert [
+            (w.index, w.trigger, w.queries) for w in report.micro_batch_windows
+        ] == [(w.index, w.trigger, len(w)) for w in expected]
 
 
 class TestCrossWindowCache:
@@ -222,10 +238,23 @@ class TestMetrics:
         assert report.metrics is not None
         counters = report.metrics.counters
         assert counters.get("streaming.arrivals_total") == len(stream)
-        assert counters.get("streaming.windows") == len(report.windows)
+        # Windows and their spans count micro-batches only; what was sealed
+        # on arrival is counted once per admission record.
+        windows = report.micro_batch_windows
+        assert 0 < len(windows) < len(report.windows)
+        assert counters.get("streaming.windows") == len(windows)
         assert counters.get("streaming.cache_hits") == report.stream_cache_hits
+        assert counters.get("streaming.cache_misses") == report.stream_cache_misses
         spans = [s for s in report.metrics.spans if s.get("name") == "stream_window"]
-        assert len(spans) == len(report.windows)
+        assert len(spans) == len(windows)
+        sealed = sum(
+            r.cache_hits for r in report.windows if r.trigger == TRIGGER_ADMISSION
+        )
+        assert sealed == report.sealed_at_admission_cache > 0
+        assert counters.get("streaming.admission_sealed.cache") == sealed
+        assert "streaming.admission_sealed.index" not in counters
+        latency = report.metrics.histograms["streaming.latency_seconds"]
+        assert latency["count"] == len(report.latencies)
 
     def test_latency_percentiles_are_ordered(self, stream_graph, stream):
         report = run_service(stream_graph, stream)
