@@ -12,8 +12,10 @@ network — the suite the advisory CI compare runs on every push.
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Callable, Dict, Tuple
+from unittest import mock
 
 from .registry import SuiteContext, SuiteRun, suite
 from .schema import Metric
@@ -121,8 +123,16 @@ def _render(title: str, metrics: Dict[str, Metric]) -> str:
 @suite("microbench", "per-primitive costs with their deterministic work counters",
        default_scale="small")
 def microbench_suite(ctx: SuiteContext) -> SuiteRun:
+    from ..network.grid import GridIndex
+    from ..search.np_kernels import BACKEND_KNOB
+
     scale = ctx.scale_for(microbench_suite.__suite__)
-    metrics = _collect(ctx.env(scale), batch=500, rounds=3)
+    env = ctx.env(scale)
+    metrics = _collect(env, batch=500, rounds=3)
+    # The same grid build under the scalar loop that REPRO_KERNEL=csr pins.
+    with mock.patch.dict(os.environ, {BACKEND_KNOB: "csr"}):
+        seconds, _ = best_of(lambda: GridIndex(env.graph, levels=5), 3)
+    metrics["grid.build_scalar_ms"] = _ms(seconds)
     return SuiteRun(metrics=metrics,
                     rendered=_render(f"Microbench ({scale})", metrics))
 

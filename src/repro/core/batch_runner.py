@@ -22,6 +22,7 @@ name         decomposition                      answering
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Dict, List, Optional
 
 from ..exceptions import ConfigurationError
@@ -118,15 +119,23 @@ class BatchProcessor:
 
     # ------------------------------------------------------------------
     def process(self, queries: QuerySet, method: str) -> BatchAnswer:
-        """Run one named pipeline over ``queries`` and return its answer."""
+        """Run one named pipeline over ``queries`` and return its answer.
+
+        The answer's ``setup_seconds`` is the time spent outside
+        decomposition and answering (see :class:`BatchAnswer`).
+        """
         runner = self._runners().get(method)
         if runner is None:
             raise ConfigurationError(f"unknown method {method!r}; choose from {METHODS}")
+        start = time.perf_counter()
         if self.frozen:
             # Cached by graph.version, so repeated process() calls on the
             # same snapshot freeze exactly once.
             self.graph.freeze()
-        return runner(queries)
+        freeze_seconds = time.perf_counter() - start
+        answer = runner(queries)
+        answer.setup_seconds += freeze_seconds
+        return answer
 
     def process_timed(
         self,
@@ -195,8 +204,11 @@ class BatchProcessor:
         raise ConfigurationError(f"unknown decomposer kind {kind!r}")
 
     def _run_local_cache(self, queries: QuerySet, kind: str, order: str, label: str) -> BatchAnswer:
+        start = time.perf_counter()
         cache_bytes = self._resolve_cache_bytes(queries)
-        decomposition = self._decomposer(kind).decompose(queries)
+        decomposer = self._decomposer(kind)
+        setup_seconds = time.perf_counter() - start
+        decomposition = decomposer.decompose(queries)
         answerer = LocalCacheAnswerer(
             self.graph,
             cache_bytes=cache_bytes,
@@ -206,8 +218,11 @@ class BatchProcessor:
             eviction=self.eviction,
         )
         if self.workers > 1 and label in self.PARALLEL_METHODS:
-            return self._run_parallel(answerer, decomposition, label)
-        return answerer.answer(decomposition, method=label)
+            answer = self._run_parallel(answerer, decomposition, label)
+        else:
+            answer = answerer.answer(decomposition, method=label)
+        answer.setup_seconds = setup_seconds
+        return answer
 
     def _run_r2r(self, queries: QuerySet, selection: str, label: str) -> BatchAnswer:
         decomposition = self._decomposer("cocluster").decompose(queries)

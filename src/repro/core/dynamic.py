@@ -81,7 +81,7 @@ class DynamicBatchSession:
         self.similarity_threshold = similarity_threshold
         self.direction_window = direction_window
         self.fault_plan = fault_plan
-        self._grid = grid if grid is not None else GridIndex(graph, levels=5)
+        self._grid = grid if grid is not None else graph.grid_index(5)
         self._caches: List[_LiveCache] = []
         self._epoch_version = graph.version
         self.caches_reused = 0

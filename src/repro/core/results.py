@@ -37,6 +37,11 @@ class BatchAnswer:
     answers: List[Tuple[Query, PathResult]] = field(default_factory=list)
     decompose_seconds: float = 0.0
     answer_seconds: float = 0.0
+    #: Time :meth:`repro.core.batch_runner.BatchProcessor.process` spent
+    #: outside decomposition and answering: ``freeze()`` when it ran, the
+    #: |GC| cache sizing and the decomposer's construction.  Not part of
+    #: :attr:`total_seconds`.
+    setup_seconds: float = 0.0
     visited: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -91,6 +96,7 @@ class BatchAnswer:
             "clusters": float(self.num_clusters),
             "decompose_seconds": self.decompose_seconds,
             "answer_seconds": self.answer_seconds,
+            "setup_seconds": self.setup_seconds,
             "total_seconds": self.total_seconds,
             "visited": float(self.visited),
             "hit_ratio": self.hit_ratio,

@@ -65,9 +65,7 @@ class SearchSpaceOracle:
     ) -> None:
         self.graph = graph
         if grid is None:
-            grid = GridIndex(
-                graph, levels=levels if levels is not None else auto_levels(graph)
-            )
+            grid = graph.grid_index(levels if levels is not None else auto_levels(graph))
         self.grid = grid
 
     def estimate(self, query: Query) -> SearchSpaceEstimate:
@@ -111,7 +109,9 @@ class SearchSpaceDecomposer:
     merge_threshold:
         Minimum overlap coefficient for two clusters to merge.
     grid:
-        Optional shared :class:`GridIndex`.
+        Optional :class:`GridIndex`; by default the graph's shared grid of
+        its current version (:meth:`RoadNetwork.grid_index`), kept for the
+        decomposer's lifetime.
     """
 
     method = "search-space"

@@ -18,6 +18,7 @@ weights are travel times rather than distances.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import GraphError
@@ -25,6 +26,7 @@ from .spatial import euclidean, reference_angle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .csr import CSRGraph
+    from .grid import GridIndex
 
 EdgeTuple = Tuple[int, int, float]
 
@@ -65,6 +67,8 @@ class RoadNetwork:
         #: Incremented on every mutation; caches key their validity on it.
         self.version = 0
         self._frozen: Optional["CSRGraph"] = None
+        #: ``(version, {levels: GridIndex})``: the shared grids of one version.
+        self._grids: Tuple[int, Dict[int, "GridIndex"]] = (-1, {})
         if edges is not None:
             for u, v, w in edges:
                 self.add_edge(u, v, w)
@@ -298,13 +302,42 @@ class RoadNetwork:
             return frozen
         return None
 
+    def grid_index(self, levels: int = 5) -> "GridIndex":
+        """The shared :class:`~repro.network.grid.GridIndex` of this version.
+
+        Built on first use and cached like :meth:`freeze`: every caller
+        asking for the same ``levels`` at the same :attr:`version` gets the
+        *same object*, and a mutation drops the cache (only the latest
+        version is kept).  ``GridIndex(graph, levels)`` still builds a
+        private grid.
+        """
+        version, grids = self._grids
+        if version != self.version:
+            grids = {}
+            self._grids = (self.version, grids)
+        grid = grids.get(levels)
+        if grid is None:
+            from .grid import GridIndex
+
+            # A proxy, not the network itself: a grid cached here must not
+            # form a reference cycle that keeps a dropped network alive
+            # until the next cyclic collection.
+            grid = grids[levels] = GridIndex(weakref.proxy(self), levels=levels)
+        return grid
+
     def __getstate__(self) -> Dict[str, object]:
-        # Never ship the frozen snapshot inside a pickled network: it is
-        # derived state, may be shm-backed (unpicklable by design), and
-        # spawn workers re-freeze or attach explicitly.
+        # Never ship the frozen snapshot or the shared grids inside a pickled
+        # network: both are derived state, the snapshot may be shm-backed
+        # (unpicklable by design), and spawn workers re-freeze or attach
+        # explicitly.
         state = self.__dict__.copy()
         state["_frozen"] = None
+        del state["_grids"]
         return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._grids = (-1, {})
 
     def reversed_copy(self) -> "RoadNetwork":
         """A new network with every edge direction flipped."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 try:  # numpy is an optional extra; the ellipse cover has a scalar fallback
@@ -69,6 +69,15 @@ def auto_levels(graph, target_vertices_per_cell: float = 4.0) -> int:
     return max(1, min(8, levels))
 
 
+def _first_seen(keys):
+    """Distinct ``keys`` in order of first appearance, and each key's rank in it."""
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return uniq[order], rank[inverse.ravel()]
+
+
 class GridIndex:
     """Uniform ``2^levels x 2^levels`` grid with quad-tree level summaries."""
 
@@ -98,6 +107,104 @@ class GridIndex:
     # Construction
     # ------------------------------------------------------------------
     def _build(self) -> None:
+        # Imported here: repro.search imports repro.network at module scope.
+        from ..search.np_kernels import kernel_backend
+
+        if np is not None and kernel_backend() != "csr":
+            self._build_np()
+        else:
+            self._build_scalar()
+
+    def _build_np(self) -> None:
+        """One vectorised pass over flat arrays, bit-identical to the scalar build.
+
+        Cells come from the same subtract/divide/truncate/clamp arithmetic as
+        :meth:`cell_of_point`; per-cell sums are ``np.bincount`` in edge
+        order, which accumulates in the scalar loop's sequence; cells keep
+        their first-seen order (vertices, then edges), so the coarse levels
+        also sum their children in the scalar order.  Edge directions stay
+        on ``math.atan2``/``math.degrees``: numpy's vectorised ``arctan2``
+        can differ from libm in the last bit.
+        """
+        graph = self.graph
+        frozen = graph.frozen_or_none()
+        if frozen is not None:
+            xs = np.frombuffer(frozen.xs, dtype=np.float64)
+            ys = np.frombuffer(frozen.ys, dtype=np.float64)
+            indptr = np.frombuffer(frozen.findptr, dtype=np.int32)
+            heads = np.frombuffer(frozen.ftarget, dtype=np.int32)
+            weights = np.frombuffer(frozen.fweight, dtype=np.float64)
+        else:
+            rows = graph._adj  # noqa: SLF001 - same order as graph.edges()
+            xs = np.asarray(graph.xs, dtype=np.float64)
+            ys = np.asarray(graph.ys, dtype=np.float64)
+            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum([len(row) for row in rows], out=indptr[1:])
+            pairs = np.array(list(chain.from_iterable(rows)), dtype=np.float64)
+            pairs = pairs.reshape(-1, 2)
+            heads = pairs[:, 0].astype(np.int64)
+            weights = pairs[:, 1]
+        tails = np.repeat(np.arange(xs.size), np.diff(indptr))
+        # Iterating the buffers yields one Python float at a time, so no
+        # edge-sized lists of floats are held while the angles are taken.
+        dx = np.abs(xs[heads] - xs[tails]).data
+        dy = np.abs(ys[heads] - ys[tails]).data
+        theta = np.fromiter(
+            map(math.degrees, map(math.atan2, dy, dx)), dtype=np.float64, count=len(dx)
+        )
+        theta = np.minimum(theta, 90.0 - theta)  # reference_angle's fold
+
+        side = self.cells_per_side
+        vkeys = self._cell_keys(xs, ys)
+        ekeys = self._cell_keys((xs[tails] + xs[heads]) / 2.0, (ys[tails] + ys[heads]) / 2.0)
+        keys, slot = _first_seen(np.concatenate([vkeys, ekeys]))
+        k = keys.size
+        vslot, eslot = slot[: xs.size], slot[xs.size :]
+        counts = np.bincount(vslot, minlength=k)
+        # An empty weights array makes bincount return integers.
+        weight = np.bincount(eslot, weights=weights, minlength=k).astype(np.float64)
+        mass = np.bincount(eslot, weights=weights * theta, minlength=k).astype(np.float64)
+        members = np.argsort(vslot, kind="stable").tolist()
+        ends = np.cumsum(counts).tolist()
+        starts = [0] + ends[:-1]
+        ii, jj = keys // side, keys % side
+        self._cells = {
+            cell: CellSummary(n, w, dm, members[a:b])
+            for cell, n, w, dm, a, b in zip(
+                zip(ii.tolist(), jj.tolist()),
+                counts.tolist(),
+                weight.tolist(),
+                mass.tolist(),
+                starts,
+                ends,
+            )
+        }
+        self._level_cells[self.levels] = self._cells
+        for level in range(self.levels - 1, -1, -1):
+            keys, slot = _first_seen((ii >> 1) * (1 << level) + (jj >> 1))
+            k = keys.size
+            counts = np.bincount(slot, weights=counts, minlength=k).astype(np.int64)
+            weight = np.bincount(slot, weights=weight, minlength=k)
+            mass = np.bincount(slot, weights=mass, minlength=k)
+            ii, jj = keys >> level, keys & ((1 << level) - 1)
+            self._level_cells[level] = {
+                cell: CellSummary(n, w, dm)
+                for cell, n, w, dm in zip(
+                    zip(ii.tolist(), jj.tolist()),
+                    counts.tolist(),
+                    weight.tolist(),
+                    mass.tolist(),
+                )
+            }
+
+    def _cell_keys(self, px, py):
+        """``i * cells_per_side + j`` of each point's cell, as :meth:`cell_of_point`."""
+        last = self.cells_per_side - 1
+        i = np.clip(((px - self.origin[0]) / self.cell_size).astype(np.int64), 0, last)
+        j = np.clip(((py - self.origin[1]) / self.cell_size).astype(np.int64), 0, last)
+        return i * self.cells_per_side + j
+
+    def _build_scalar(self) -> None:
         graph = self.graph
         for v in range(graph.num_vertices):
             cell = self.cell_of_point(graph.xs[v], graph.ys[v])

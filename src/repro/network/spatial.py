@@ -191,7 +191,9 @@ def segment_cells(
     t_delta_y = abs(cell_size / dy) if dy != 0 else math.inf
 
     guard = 4 * cells_per_side + 4
-    while (cx, cy) != (ex, ey) and guard > 0:
+    # The walk ends with the segment (t = 1): an end point on a cell border
+    # must not send it on into the cells beyond that border.
+    while (cx, cy) != (ex, ey) and min(t_max_x, t_max_y) <= 1.0 and guard > 0:
         if t_max_x < t_max_y:
             cx += step_x
             t_max_x += t_delta_x
@@ -203,8 +205,14 @@ def segment_cells(
         if cells[-1] != (cx, cy):
             cells.append((cx, cy))
         guard -= 1
-    if cells[-1] != (ex, ey):
-        cells.append((ex, ey))
+    # Rounding at t = 1 (or an exhausted guard) can leave the walk short of
+    # the end cell: close the gap one adjacent cell at a time.
+    while (cx, cy) != (ex, ey):
+        if cx != ex:
+            cx += 1 if ex > cx else -1
+        else:
+            cy += 1 if ey > cy else -1
+        cells.append((cx, cy))
     return cells
 
 

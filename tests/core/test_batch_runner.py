@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.batch_runner import METHODS, BatchProcessor
 from repro.exceptions import ConfigurationError
+from repro.network.grid import auto_levels
 from repro.search.dijkstra import dijkstra
 
 EXACT_METHODS = ("astar", "dijkstra", "zlc", "slc-s", "slc-r", "zigzag-petal")
@@ -79,6 +80,27 @@ class TestConfiguration:
         )
         exact = BatchProcessor(ring).process(ring_batch, "slc-s")
         assert snapped.hit_ratio >= exact.hit_ratio
+
+    @pytest.mark.parametrize("method", ("slc-s", "zlc"))
+    def test_setup_seconds_reported_outside_total(self, ring, ring_batch, method):
+        graph = ring.copy()
+        sized = BatchProcessor(graph).process(ring_batch, method)
+        assert sized.setup_seconds > 0
+        assert sized.summary()["setup_seconds"] == sized.setup_seconds
+        assert sized.total_seconds == sized.decompose_seconds + sized.answer_seconds
+        explicit = BatchProcessor(graph, cache_bytes=4096)
+        explicit.process(ring_batch, method)
+        again = explicit.process(ring_batch, method)
+        assert again.setup_seconds < sized.setup_seconds
+        assert again.setup_seconds < 0.01
+
+    def test_slc_s_reuses_the_grid_of_the_current_version(self, ring, ring_batch):
+        graph = ring.copy()
+        processor = BatchProcessor(graph, cache_bytes=4096)
+        processor.process(ring_batch, "slc-s")
+        grid = graph.grid_index(auto_levels(graph))
+        processor.process(ring_batch, "slc-s")
+        assert graph.grid_index(auto_levels(graph)) is grid
 
     def test_methods_constant_is_complete(self, processor, ring_batch):
         for method in METHODS:

@@ -2,8 +2,9 @@
 
 The default profile keeps Hypothesis' own settings.  CI selects the
 ``ci`` profile (``HYPOTHESIS_PROFILE=ci``) for a bounded, deterministic
-run: fewer examples, no deadline (shared runners have noisy clocks), and
-no example database so every run starts from the same state.
+run: fewer examples, no deadline (shared runners have noisy clocks), no
+example database, and derandomized generation so every run draws the same
+examples.
 """
 
 import os
@@ -15,6 +16,7 @@ settings.register_profile(
     max_examples=25,
     deadline=None,
     database=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.register_profile("dev", max_examples=50, deadline=None)

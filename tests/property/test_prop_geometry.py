@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.network.convexhull import convex_hull, point_in_hull
 from repro.network.spatial import (
@@ -76,6 +76,8 @@ def test_ellipse_contains_both_endpoints(sx, sy, tx, ty, theta):
     st.floats(min_value=0.01, max_value=15.9),
     st.floats(min_value=0.01, max_value=15.9),
 )
+# Ends exactly on a cell corner: the walk used to run on past it.
+@example(7.0, 0.5, 1.0, 1.0)
 @settings(max_examples=80, deadline=None)
 def test_segment_cells_connected_and_clipped(ax, ay, bx, by):
     cells = segment_cells(ax, ay, bx, by, (0.0, 0.0), 1.0, 16)
