@@ -1,6 +1,6 @@
 """Vectorized numpy batch-kernel speedup budget, enforced.
 
-The claim the numpy kernel family makes, measured directly and failed
+The claim the joint numpy sweep makes, measured directly and failed
 (exit 1) when it does not hold: answering a ``REPRO_CSR_NP_BATCH``-query
 batch (default 64) through :func:`np_batch_dijkstra` is at least
 ``REPRO_CSR_NP_MIN_SPEEDUP``x (default 5) faster than the per-query
@@ -8,10 +8,6 @@ dict-graph Dijkstra loop on the largest bundled synthetic network
 (``xlarge``, ~20.7k vertices).  Best-of-``ROUNDS`` timing over a fixed
 query set, so scheduler noise cannot manufacture a pass; answers are
 verified bit-identical before anything is timed.
-
-Also reported (informational, not gated): the joint 4-ball region
-collection R2R issues per representative and LC's one-to-many boundary
-sweep.
 
 The measurement body lives in :mod:`repro.bench.csr_np` (shared with the
 ``csr_np`` harness suite — ``repro bench run --suite csr_np`` records the

@@ -1,10 +1,9 @@
-"""Vectorized numpy kernel speedup over the per-query dict loop.
+"""Vectorized numpy batch-sweep speedup over the per-query dict loop.
 
 Companion to the ``csr`` suite: where that one gates the scalar CSR
-kernels, this one gates the batched numpy sweeps from
-``repro.search.np_kernels`` — batch point-to-point at a realistic cluster
-width, the joint 4-ball region collection R2R issues per representative,
-and the one-to-many boundary sweep LC issues per cluster.
+kernels, this one gates the joint sweep
+:func:`repro.search.np_kernels.np_batch_dijkstra` — batch point-to-point
+at a realistic cluster width.
 
 Timing uses best-of-``rounds`` (minimum) rather than the median: the
 vectorized sweep's wall time is dominated by a handful of large
@@ -51,7 +50,7 @@ def run_csr_np(
     """Measure numpy-vs-dict batch speedups; never exits, only reports."""
     from ..network.generators import beijing_like
     from ..search import np_kernels
-    from ..search.dijkstra import bounded_ball_tree, dijkstra, one_to_many
+    from ..search.dijkstra import dijkstra
 
     if not np_kernels.np_available():
         return CsrNpOutcome(
@@ -92,49 +91,6 @@ def run_csr_np(
         f"p2p speedup    : {p2p_speedup:.2f}x (required >= {min_speedup:.2f}x)"
     )
 
-    # --- joint 4-ball region collection (R2R's per-representative op)
-    # Radius derived from realized distances so the balls cover a
-    # substantial region at every scale (tiny balls time in the tens of
-    # microseconds, where scheduling noise swamps the comparison).
-    finite = sorted(r.distance for r in truth if r.found)
-    radius = 0.5 * finite[-1] if finite else 6.0
-    specs = [(pairs[0][0], False), (pairs[0][0], True),
-             (pairs[1][0], False), (pairs[1][0], True)]
-
-    def dict_balls():
-        return [bounded_ball_tree(dict_graph, s, radius, b) for s, b in specs]
-
-    def np_balls():
-        return np_kernels.np_multi_bounded_ball_tree(csr, specs, radius)
-
-    assert dict_balls() == np_balls()
-    ball_dict_s = _best_of(dict_balls, rounds)
-    ball_np_s = _best_of(np_balls, rounds)
-    ball_speedup = ball_dict_s / ball_np_s if ball_np_s > 0 else float("inf")
-    lines.append(
-        f"4-ball region  : dict {ball_dict_s * 1e3:.1f} ms, "
-        f"np {ball_np_s * 1e3:.1f} ms ({ball_speedup:.2f}x)"
-    )
-
-    # --- one-to-many boundary sweep (LC's per-cluster op) ------------
-    source = pairs[0][0]
-    targets = [t for _, t in pairs]
-
-    def dict_otm():
-        return one_to_many(dict_graph, source, targets)
-
-    def np_otm():
-        return np_kernels.np_one_to_many(csr, source, targets)
-
-    assert dict_otm() == np_otm()
-    otm_dict_s = _best_of(dict_otm, rounds)
-    otm_np_s = _best_of(np_otm, rounds)
-    otm_speedup = otm_dict_s / otm_np_s if otm_np_s > 0 else float("inf")
-    lines.append(
-        f"one-to-many    : dict {otm_dict_s * 1e3:.1f} ms, "
-        f"np {otm_np_s * 1e3:.1f} ms ({otm_speedup:.2f}x)"
-    )
-
     failures = []
     if p2p_speedup < min_speedup:
         failures.append(
@@ -150,10 +106,6 @@ def run_csr_np(
                             tolerance_pct=40.0),
         "p2p_speedup": Metric(p2p_speedup, kind="ratio", direction="higher",
                               tolerance_pct=40.0),
-        "ball_speedup": Metric(ball_speedup, kind="ratio", direction="higher",
-                               tolerance_pct=60.0),
-        "otm_speedup": Metric(otm_speedup, kind="ratio", direction="higher",
-                              tolerance_pct=60.0),
         "budget_failures": Metric(float(len(failures)), kind="info"),
     }
     return CsrNpOutcome(metrics=metrics, rendered="\n".join(lines),

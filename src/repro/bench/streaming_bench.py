@@ -145,10 +145,10 @@ def run_numpy_row(
 ) -> StreamingOutcome:
     """Paired serial-engine runs: default kernels vs forced numpy batching.
 
-    The ``np`` row pins ``REPRO_KERNEL=np`` with floor thresholds (so the
-    vectorized sweeps dispatch even on the small streaming network) and
-    answers cluster misses through :class:`LocalCacheAnswerer`'s batched
-    one-to-many mode.  Measured honestly: on ``tiny`` the per-query A*
+    The ``np`` row pins ``REPRO_KERNEL=np`` (so the joint batch sweep
+    dispatches even on the small streaming network) and answers cluster
+    misses through :class:`LocalCacheAnswerer`'s batched one-to-many
+    mode.  Measured honestly: on ``tiny`` the per-query A*
     frontier is a handful of vertices, so vectorization overhead can
     offset the batching win — the point of the row is to record the
     actual p99 delta, not to presume one.
@@ -168,11 +168,7 @@ def run_numpy_row(
 
     knob_sets = {
         "baseline": {},
-        "np": {
-            np_kernels.BACKEND_KNOB: "np",
-            np_kernels.AUTO_MIN_KNOB: "1",
-            np_kernels.BATCH_MIN_KNOB: "2",
-        },
+        "np": {np_kernels.BACKEND_KNOB: "np"},
     }
     rows: List[dict] = []
     metrics: Dict[str, Metric] = {}

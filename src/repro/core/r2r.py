@@ -29,7 +29,7 @@ from ..exceptions import ConfigurationError
 from ..queries.query import Query
 from ..search.astar import a_star
 from ..search.common import PathResult, reconstruct_path
-from ..search.dijkstra import region_balls
+from ..search.dijkstra import bounded_ball_tree
 from .clusters import Decomposition, QueryCluster
 from .results import BatchAnswer
 from .wspd import region_radius
@@ -132,21 +132,12 @@ class RegionToRegionAnswerer:
 
             bound = region_radius(self.eta, exact.distance)
             u_star, v_star = rep.source, rep.target
-            # C_s: within 2r* of u* both forward and backward (Algorithm 2 l.3).
-            # The four balls share one radius, so a frozen snapshot with the
-            # numpy backend collects all same-direction balls in one joint
-            # sweep; the fallback is the original four bounded_ball_tree
-            # calls with identical results.
-            (
-                (fwd_u, _, vis1),
-                (bwd_u, par_bu, vis2),
-                (fwd_v, par_fv, vis3),
-                (bwd_v, _, vis4),
-            ) = region_balls(
-                graph,
-                [(u_star, False), (u_star, True), (v_star, False), (v_star, True)],
-                bound,
-            )
+            # C_s: within 2r* of u* both forward and backward (Algorithm 2
+            # l.3); C_t likewise around v* (l.4).
+            fwd_u, _, vis1 = bounded_ball_tree(graph, u_star, bound)
+            bwd_u, par_bu, vis2 = bounded_ball_tree(graph, u_star, bound, True)
+            fwd_v, par_fv, vis3 = bounded_ball_tree(graph, v_star, bound)
+            bwd_v, _, vis4 = bounded_ball_tree(graph, v_star, bound, True)
             batch.visited += vis1 + vis2 + vis3 + vis4
             c_s = {v for v in bwd_u if v in fwd_u}
             c_t = {v for v in fwd_v if v in bwd_v}

@@ -117,13 +117,12 @@ def record_np_search(
 ) -> None:
     """Flush one vectorized (numpy) sweep's shape into the registry.
 
-    ``kind`` names the kernel (``dijkstra``, ``sssp``, ``ball``,
-    ``one-to-many``); ``rows`` counts how many logical searches the sweep
-    served at once (>1 for the batched multi-ball kernel); ``frontier``
-    sums frontier sizes across inner rounds (the expansion analogue of
-    heap pops) and ``relaxations`` counts strict tentative-distance
-    improvements.  These ride alongside the unified ``search.*`` counters
-    the sweep also flushes via :func:`record_search`.
+    ``kind`` names the kernel (``batch-dijkstra``, the joint sweep);
+    ``rows`` counts how many point-to-point searches the sweep served at
+    once; ``frontier`` sums frontier sizes across inner rounds (the
+    expansion analogue of heap pops) and ``relaxations`` counts strict
+    tentative-distance improvements.  These ride alongside the unified
+    ``search.*`` counters the sweep also flushes via :func:`record_search`.
     """
     reg = get_registry()
     if reg.enabled:

@@ -15,10 +15,11 @@ Dispatch
 --------
 
 Every entry point checks :func:`~repro.search.csr_kernels.frozen_csr`
-first; on a frozen snapshot it forwards to the scalar CSR kernels, or —
-when numpy is importable and the ``REPRO_KERNEL`` knob allows it — to the
-vectorized sweeps in :mod:`repro.search.np_kernels`.  The dict path below
-stays the differential oracle for both.
+first and, on a frozen snapshot, forwards to its one scalar CSR kernel;
+the dict loop below is that kernel's differential oracle.  The only
+vectorized path is :func:`batch_dijkstra`, which hands a multi-query
+batch to the joint sweep :func:`~repro.search.np_kernels.
+np_batch_dijkstra` when :func:`~repro.search.np_kernels.np_active` allows.
 
 Accounting invariant: every kernel (dict, scalar CSR, numpy) flushes one
 ``record_search(settled, pushes, pushes + 1 - len(heap))`` — settled
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..obs import record_search
 from ..resilience.deadline import CHECK_MASK, active_deadline
@@ -56,15 +57,12 @@ def _rows(graph, backward: bool):
 def dijkstra(graph, source: int, target: int, backward: bool = False) -> PathResult:
     """Point-to-point Dijkstra from ``source`` to ``target``.
 
-    With ``backward=True`` the search runs on the reverse graph, i.e. it
-    returns the shortest path *into* ``source``... more precisely the result
-    still reads "from source to target" on the reverse graph, which equals
-    the forward path from ``target`` to ``source`` reversed.
+    With ``backward=True`` the search runs on the reverse graph: the
+    result reads "from source to target" there, which is the forward path
+    from ``target`` to ``source`` reversed.
     """
     csr = frozen_csr(graph)
     if csr is not None:
-        if np_kernels.np_active(csr):
-            return np_kernels.np_dijkstra(csr, source, target, backward)
         return csr_dijkstra(csr, source, target, backward)
     deadline = active_deadline()
     if deadline is not None:
@@ -116,8 +114,6 @@ def bounded_ball(
     """
     csr = frozen_csr(graph)
     if csr is not None:
-        if np_kernels.np_active(csr):
-            return np_kernels.np_bounded_ball(csr, source, radius, backward)
         return csr_bounded_ball(csr, source, radius, backward)
     deadline = active_deadline()
     if deadline is not None:
@@ -162,8 +158,6 @@ def bounded_ball_tree(
     """
     csr = frozen_csr(graph)
     if csr is not None:
-        if np_kernels.np_active(csr):
-            return np_kernels.np_bounded_ball_tree(csr, source, radius, backward)
         return csr_bounded_ball_tree(csr, source, radius, backward)
     deadline = active_deadline()
     if deadline is not None:
@@ -210,8 +204,6 @@ def one_to_many(
     """
     csr = frozen_csr(graph)
     if csr is not None:
-        if np_kernels.np_active(csr):
-            return np_kernels.np_one_to_many(csr, source, targets, backward)
         return csr_one_to_many(csr, source, targets, backward)
     deadline = active_deadline()
     if deadline is not None:
@@ -258,8 +250,6 @@ def sssp_distances(graph, source: int, backward: bool = False) -> List[float]:
     """
     csr = frozen_csr(graph)
     if csr is not None:
-        if np_kernels.np_active(csr):
-            return np_kernels.np_sssp_distances(csr, source, backward)
         return csr_sssp_distances(csr, source, backward)
     n = graph.num_vertices
     adj = _rows(graph, backward)
@@ -290,8 +280,6 @@ def sssp_tree(graph, source: int, backward: bool = False) -> Tuple[List[float], 
     """Full SSSP distances plus the parent map (for path extraction)."""
     csr = frozen_csr(graph)
     if csr is not None:
-        if np_kernels.np_active(csr):
-            return np_kernels.np_sssp_tree(csr, source, backward)
         return csr_sssp_tree(csr, source, backward)
     n = graph.num_vertices
     adj = _rows(graph, backward)
@@ -328,33 +316,7 @@ def np_batch_active(graph, count: int) -> bool:
     decide whether handing the batch to :func:`batch_dijkstra` is a win.
     """
     csr = frozen_csr(graph)
-    return csr is not None and count > 1 and np_kernels.np_active(csr, "batch")
-
-
-def region_balls(
-    graph,
-    specs: Sequence[Tuple[int, bool]],
-    radius: float,
-) -> List[Tuple[Dict[int, float], Dict[int, int], int]]:
-    """Collect several bounded balls sharing one radius, batched when possible.
-
-    ``specs`` is a sequence of ``(source, backward)`` requests — R2R's four
-    region balls (forward/backward from ``u*`` and ``v*``).  On a frozen
-    snapshot with the numpy backend active, same-direction balls advance in
-    one joint vectorized frontier (:func:`~repro.search.np_kernels.
-    np_multi_bounded_ball_tree`); otherwise this is exactly a loop of
-    :func:`bounded_ball_tree` calls.  Results align with ``specs`` and are
-    identical between the two paths.
-
-    Gated on the single-row (``"point"``) crossover, not the batch one:
-    a radius-pruned ball touches only its own region, so even the joint
-    sweep cannot amortize the vectorization overhead at bundled scales —
-    the scalar loop wins until snapshots far exceed ``xlarge``.
-    """
-    csr = frozen_csr(graph)
-    if csr is not None and len(specs) > 1 and np_kernels.np_active(csr):
-        return np_kernels.np_multi_bounded_ball_tree(csr, specs, radius)
-    return [bounded_ball_tree(graph, s, radius, b) for s, b in specs]
+    return csr is not None and count > 1 and np_kernels.np_active(csr)
 
 
 def batch_dijkstra(

@@ -1,26 +1,14 @@
-"""Vectorized numpy batch kernels over frozen :class:`~repro.network.csr.CSRGraph`.
+"""The joint multi-row numpy sweep over frozen :class:`~repro.network.csr.CSRGraph`.
 
-PR 4's scalar CSR kernels removed dict overhead but still pay the Python
-interpreter for every heap pop.  This module removes the per-pop loop too:
-searches run as **bucketed delta-stepping sweeps** whose edge relaxations are
-single vectorized ``np.minimum.at`` scatters over flat ``np.frombuffer``
-views of the snapshot's CSR buffers — the shared-execution model of batch
-processing (one frontier sweep serving a whole target set or several ball
-centres) realized at the kernel level.
-
-Kernel family
--------------
-
-* :func:`np_dijkstra` — point-to-point, early exit at the bucket boundary
-  that finalizes the target;
-* :func:`np_sssp_distances` / :func:`np_sssp_tree` — full single-source;
-* :func:`np_bounded_ball` / :func:`np_bounded_ball_tree` — radius-pruned
-  collection (R2R's ``2 r*`` primitive);
-* :func:`np_multi_bounded_ball_tree` — **batched** ball collection: every
-  same-direction ball advances in one joint frontier, so R2R's four
-  region balls cost two sweeps instead of four searches;
-* :func:`np_one_to_many` — batched one-to-many: an entire cluster target
-  set answered from one sweep.
+One kernel lives here, :func:`np_batch_dijkstra`: a whole batch of
+point-to-point queries runs as **one bucketed delta-stepping sweep** whose
+edge relaxations are single vectorized ``np.minimum.at`` scatters over
+flat ``np.frombuffer`` views of the snapshot's CSR buffers.  Every query
+is a row of one ``(rows, n)`` distance sheet, so the per-round
+vectorization overhead amortizes across the batch — the shared-execution
+model of batch processing realized at the kernel level.  Single searches
+(one query, one ball, one one-to-many call) stay on the scalar CSR
+kernels, which keep early exit and touch only the explored region.
 
 Exactness contract
 ------------------
@@ -28,44 +16,42 @@ Exactness contract
 Distances are **bit-identical** to the dict/scalar kernels: every final
 ``dist[v]`` is produced by the same float expression ``dist[u] + w`` along
 the same shortest path, and ``min`` over candidates is order-independent.
-Membership sets (balls, reachability) are therefore bit-identical too.
-Paths, parent maps and VNN counts are reconstructed post-hoc from the
-settled prefix ``{v : (dist[v], v) <= (dist[t_last], t_last)}`` of the
-``(distance, vertex-id)`` settle order, which reproduces the heap's
-lazy-deletion behaviour exactly whenever finite distances are distinct.
-Exact float ties (zero-weight clusters) keep every reported path a valid
-shortest path of identical length, but the tie-break may differ from the
-heap's discovery order — ``tests/search/test_csr_kernels.py`` therefore
-pins the scalar backend for its pop-order bit-identity assertions, while
-``tests/search/test_np_kernels.py`` is this module's differential suite.
+Paths and VNN counts are reconstructed post-hoc from the settled prefix
+``{v : (dist[v], v) <= (dist[t], t)}`` of the ``(distance, vertex-id)``
+settle order, which reproduces the heap's lazy-deletion behaviour exactly
+whenever finite distances are distinct.  Exact float ties (zero-weight
+clusters) keep every reported path a valid shortest path of identical
+length, but the tie-break may differ from the heap's discovery order.
 
 Accounting
 ----------
 
-Every kernel flushes one :func:`repro.obs.record_search` with the unified
+Every row flushes one :func:`repro.obs.record_search` with the unified
 ``(settled, relaxations, heap_pops)`` semantics: ``settled`` is the VNN
 (identical to the dict kernels outside float ties), ``relaxations`` counts
 improving edge relaxations (the analogue of heap pushes), and
 ``heap_pops`` counts frontier expansions (the analogue of non-stale
-pops).  Totals are deterministic, so ``workers=k`` fleet merges
-stay bit-identical to serial runs — the PR 2 invariant.  ``csr.np_*``
-counters additionally record sweep shape (buckets, rows, frontier sizes).
+pops).  Totals are deterministic, so ``workers=k`` fleet merges stay
+bit-identical to serial runs.  ``csr.np_*`` counters additionally record
+the sweep's shape (buckets, rows, frontier sizes).
 
 Backend selection
 -----------------
 
-``REPRO_KERNEL`` picks the backend: ``auto`` (default — numpy when
-importable, scalar otherwise), ``np`` (require numpy; raise if missing)
-or ``csr`` (force the scalar kernels).  numpy is an optional extra
-(``pip install repro[np]``); without it dispatch falls back transparently
-and answers stay identical.
+``REPRO_KERNEL`` picks the backend: ``auto`` (default — the joint sweep
+on snapshots of at least :data:`BATCH_MIN_VERTICES` vertices when numpy
+is importable), ``np`` (require numpy; raise if missing) or ``csr``
+(never use numpy; also pins the CCH's scalar customize loop and the
+scalar grid build).  numpy is an optional extra (``pip install
+repro[np]``); without it dispatch falls back transparently and answers
+stay identical.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
 from ..obs import record_np_search, record_search
@@ -75,7 +61,7 @@ from .common import PathResult
 if TYPE_CHECKING:  # pragma: no cover
     from ..network.csr import CSRGraph
 
-try:  # numpy is an optional extra: every entry point has a scalar fallback
+try:  # numpy is an optional extra: the batch entry point has a scalar fallback
     import numpy as _numpy
 except ImportError:  # pragma: no cover - exercised via the fallback tests
     _numpy = None  # type: ignore[assignment]
@@ -91,17 +77,11 @@ BACKENDS = ("auto", "np", "csr")
 __all__ = [
     "BACKENDS",
     "BACKEND_KNOB",
+    "BATCH_MIN_VERTICES",
     "kernel_backend",
     "np_active",
     "np_available",
     "np_batch_dijkstra",
-    "np_bounded_ball",
-    "np_bounded_ball_tree",
-    "np_dijkstra",
-    "np_multi_bounded_ball_tree",
-    "np_one_to_many",
-    "np_sssp_distances",
-    "np_sssp_tree",
     "warm_view",
 ]
 
@@ -136,48 +116,17 @@ def kernel_backend() -> str:
     return raw
 
 
-AUTO_MIN_KNOB = "REPRO_NP_AUTO_MIN"
-BATCH_MIN_KNOB = "REPRO_NP_BATCH_MIN"
-#: ``auto`` crossover for single-row sweeps (per-query kernels, one
-#: bounded ball or one-to-many per call).  Measured against the scalar
-#: CSR kernels — which keep early exit and touch only the explored
-#: region — a single sweep still loses at the largest bundled network
-#: (p2p 0.86x, ball 0.28x, one-to-many 0.75x on ``xlarge``, 20.7k
-#: vertices) because the per-bucket vectorization overhead has no rows
-#: to amortize over.  The default therefore sits above every bundled
-#: scale; lower it explicitly for dense or low-diameter networks where
-#: frontiers grow wide enough to win.
-DEFAULT_AUTO_MIN = 200_000
-#: ``auto`` crossover for the multi-row batch sweep
-#: (:func:`np_batch_dijkstra`), which amortizes each round across the
-#: whole batch and beats a scalar per-query loop from ~1k vertices up
+#: ``auto`` crossover for the joint sweep: it amortizes each round across
+#: the whole batch and beats a scalar per-query loop from ~1k vertices up
 #: (2.1x on ``small``, 2.5x on ``medium``, 9x+ on ``xlarge`` at k=64).
-DEFAULT_BATCH_MIN = 512
+BATCH_MIN_VERTICES = 512
 
 
-def _min_vertices(knob: str, default: int) -> int:
-    raw = os.environ.get(knob)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"environment knob {knob}={raw!r} must be an integer vertex count"
-        ) from None
+def np_active(csr: "CSRGraph") -> bool:
+    """Should a multi-row batch on this snapshot take the joint numpy sweep?
 
-
-def np_active(csr: "CSRGraph", kind: str = "point") -> bool:
-    """Should dispatch use the numpy kernels for this snapshot?
-
-    ``kind`` is ``"point"`` for single-row sweeps (per-query kernels,
-    one ball or one-to-many per call) or ``"batch"`` for the joint
-    multi-row sweeps.  Under ``REPRO_KERNEL=auto`` each kind has its own
-    snapshot-size crossover (``REPRO_NP_AUTO_MIN`` /
-    ``REPRO_NP_BATCH_MIN``); with the defaults only the multi-row batch
-    dispatches automatically — single-row sweeps lose to the scalar
-    kernels at every bundled scale.  ``np`` forces the vectorized
-    kernels everywhere and ``csr`` disables them.
+    ``np`` forces it, ``csr`` disables it, and ``auto`` uses it once the
+    snapshot has at least :data:`BATCH_MIN_VERTICES` vertices.
     """
     backend = kernel_backend()
     if backend == "csr":
@@ -189,11 +138,7 @@ def np_active(csr: "CSRGraph", kind: str = "point") -> bool:
                 f"install the optional extra (pip install repro[np])"
             )
         return True
-    if _numpy is None:
-        return False
-    if kind == "batch":
-        return csr.num_vertices >= _min_vertices(BATCH_MIN_KNOB, DEFAULT_BATCH_MIN)
-    return csr.num_vertices >= _min_vertices(AUTO_MIN_KNOB, DEFAULT_AUTO_MIN)
+    return _numpy is not None and csr.num_vertices >= BATCH_MIN_VERTICES
 
 
 # ----------------------------------------------------------------------
@@ -291,21 +236,18 @@ def _joint_sweep(
     weights: Array,
     dist: Array,
     seeds: Array,
+    row_targets: Array,
     n: int,
     k: int,
     delta: float,
-    radius: float,
-    where: str,
-    stop: Any = None,
-    row_targets: Any = None,
 ) -> Tuple[_SweepStats, Array, Array]:
     """Bucketed delta-stepping over a flat ``(k, n)`` distance sheet.
 
     ``dist`` holds ``k`` row-major search rows (seeds pre-set to 0 in flat
-    coordinates); ``k == 1`` is the plain single-search sweep.  The
-    frontier lives in compact index arrays — never a full-sheet mask — so
-    per-round cost tracks the frontier's edge volume, not ``k * n``; this
-    is what lets one joint sweep serve a whole batch of rows profitably.
+    coordinates).  The frontier lives in compact index arrays — never a
+    full-sheet mask — so per-round cost tracks the frontier's edge volume,
+    not ``k * n``; this is what lets one joint sweep serve a whole batch
+    of rows profitably.
 
     Improved vertices whose new tentative distance lands beyond the bucket
     boundary ``top`` are deferred to a pending pool, deduplicated once per
@@ -313,12 +255,11 @@ def _joint_sweep(
     expands earlier); stale entries re-expand as no-ops, which never
     changes a distance — only the (still deterministic) work counters.
 
-    ``stop(top)`` is evaluated after each bucket completes — at that point
-    every vertex with final distance below ``top`` is settled — and ends
-    the sweep early when it returns True.  ``row_targets`` (one flat id
-    per row) instead retires each row at the first bucket boundary that
-    finalizes its target, dropping the row's pending entries.  The
-    cooperative deadline is checked on entry and once per bucket.
+    ``row_targets`` (one flat id per row) retires each row at the first
+    bucket boundary that finalizes its target — at that point every vertex
+    with final distance below ``top`` is settled — dropping the row's
+    pending entries.  The cooperative deadline is checked on entry and
+    once per bucket.
     """
     xp = _numpy
     stats = _SweepStats()
@@ -326,8 +267,8 @@ def _joint_sweep(
     row_improved = xp.zeros(k, dtype=xp.int64)
     deadline = active_deadline()
     if deadline is not None:
-        deadline.check(where)
-    alive = xp.ones(k, dtype=bool) if row_targets is not None else None
+        deadline.check("dijkstra")
+    alive = xp.ones(k, dtype=bool)
 
     # O(size) set dedup via scatter-stamp: tokens are globally unique, so
     # the mark sheet never needs resetting and a slot survives as "mine"
@@ -348,11 +289,11 @@ def _joint_sweep(
     pending: List[Array] = [seeds.astype(xp.int64)]
     while pending:
         if deadline is not None:
-            deadline.check(where)
+            deadline.check("dijkstra")
         # A lone carry-over array is already deduplicated (it is a subset
         # of the previous bucket's deduplicated pool).
         pend = pending[0] if len(pending) == 1 else _dedup(xp.concatenate(pending))
-        if alive is not None and not bool(alive.all()):
+        if not bool(alive.all()):
             pend = pend[alive[pend // n]]
         if pend.size == 0:
             break
@@ -365,46 +306,29 @@ def _joint_sweep(
         stats.buckets += 1
         while frontier.size:
             stats.expanded += int(frontier.size)
-            if k > 1:
-                row_expanded += xp.bincount(frontier // n, minlength=k)
-                verts = frontier % n
-            else:
-                verts = frontier
+            row_expanded += xp.bincount(frontier // n, minlength=k)
+            verts = frontier % n
             rep, eidx = _edge_gather(indptr, verts)
             if eidx.size == 0:
                 break
-            if k > 1:
-                heads = targets[eidx] + (frontier - verts)[rep]
-            else:
-                heads = targets[eidx]
+            heads = targets[eidx] + (frontier - verts)[rep]
             cand = dist[frontier][rep] + weights[eidx]
             sel = cand < dist[heads]
-            if radius != Infinity:
-                sel &= cand <= radius
             heads = heads[sel]
             if heads.size == 0:
                 break
             xp.minimum.at(dist, heads, cand[sel])
             stats.improved += int(heads.size)
-            if k > 1:
-                row_improved += xp.bincount(heads // n, minlength=k)
+            row_improved += xp.bincount(heads // n, minlength=k)
             improved = _dedup(heads)
             go = dist[improved] < top
             frontier = improved[go]
             defer = improved[~go]
             if defer.size:
                 pending.append(defer)
-        if alive is not None:
-            done_rows = alive & (dist[row_targets] < top)
-            if bool(done_rows.any()):
-                alive &= ~done_rows
-                if not bool(alive.any()):
-                    break
-        if stop is not None and stop(top):
+        alive &= ~(dist[row_targets] < top)
+        if not bool(alive.any()):
             break
-    if k == 1:
-        row_expanded[0] = stats.expanded
-        row_improved[0] = stats.improved
     return stats, row_expanded, row_improved
 
 
@@ -428,14 +352,13 @@ def _resolve_parents(
     backward: bool,
     dist: Array,
     verts: Array,
-    want: Array,
     eligible: Array,
     source: int,
 ) -> Dict[int, int]:
     """Exact shortest-path-tree parents for ``verts``.
 
     ``parent[v]`` is the minimum ``(dist[u], u)`` in-neighbour achieving
-    ``dist[u] + w == want[v]`` — the first strict improver in heap pop
+    ``dist[u] + w == dist[v]`` — the first strict improver in heap pop
     order, i.e. the dict kernels' parent whenever distances are distinct.
     Zero-weight ties resolve iteratively (a candidate at equal distance is
     only accepted once it has a parent itself), which guarantees the
@@ -447,7 +370,7 @@ def _resolve_parents(
     resolved = xp.zeros(view.n, dtype=bool)
     resolved[source] = True
     todo = verts
-    want_todo = want
+    want_todo = dist[verts]
     for _ in range(view.n + 1):
         if todo.size == 0:
             break
@@ -477,7 +400,7 @@ def _resolve_parents(
 
 
 # ----------------------------------------------------------------------
-# Kernels
+# The kernel
 # ----------------------------------------------------------------------
 def _walk_path(
     view: _NpView, backward: bool, dist: Array, source: int, target: int
@@ -543,9 +466,7 @@ def _p2p_result(
         settled_mask = xp.isfinite(dist) & (dist <= d_t)
         verts = xp.flatnonzero(settled_mask)
         verts = verts[verts != source]
-        parents = _resolve_parents(
-            view, backward, dist, verts, dist[verts], settled_mask, source
-        )
+        parents = _resolve_parents(view, backward, dist, verts, settled_mask, source)
         path = [target]
         v = target
         while v != source:
@@ -553,33 +474,6 @@ def _p2p_result(
             path.append(v)
         path.reverse()
     return PathResult(source, target, d_t, path, visited)
-
-
-def np_dijkstra(
-    csr: "CSRGraph", source: int, target: int, backward: bool = False
-) -> PathResult:
-    """Vectorized twin of :func:`repro.search.dijkstra.dijkstra`."""
-    xp = _numpy
-    view = _view(csr)
-    if source == target:
-        record_search(1, 0, 1)
-        record_np_search("dijkstra", 0, 0, 0)
-        return PathResult(source, target, 0.0, [source], 1)
-    indptr, tg, wt = view.rows(backward)
-    dist = xp.full(view.n, Infinity)
-    dist[source] = 0.0
-    seeds = xp.array([source], dtype=xp.int64)
-
-    def settled_target(top: float) -> bool:
-        return bool(dist[target] < top)
-
-    stats, _, _ = _joint_sweep(indptr, tg, wt, dist, seeds, view.n, 1,
-                               view.delta, Infinity, "dijkstra",
-                               stop=settled_target)
-    record_np_search("dijkstra", stats.buckets, stats.expanded, stats.improved)
-    return _p2p_result(
-        view, backward, dist, source, target, stats.improved, stats.expanded
-    )
 
 
 def np_batch_dijkstra(
@@ -596,8 +490,9 @@ def np_batch_dijkstra(
     high-diameter road network, but a joint frontier of many queries can.
     A row stops contributing (its pending slice is cleared) at the first
     bucket boundary that finalizes its target.  Results align with
-    ``pairs``; each is bit-identical to :func:`np_dijkstra` on the same
-    query, and each row flushes its own :func:`record_search`.
+    ``pairs``; each is bit-identical to :func:`~repro.search.dijkstra.
+    dijkstra` on the same query (see the exactness contract), and each row
+    flushes its own :func:`record_search`.
     """
     xp = _numpy
     view = _view(csr)
@@ -623,8 +518,7 @@ def np_batch_dijkstra(
         tflat[r] = r * n + pairs[i][1]
     dist[seeds] = 0.0
     stats, row_expanded, row_improved = _joint_sweep(
-        indptr, tg, wt, dist, seeds, n, k, view.batch_delta(k), Infinity,
-        "dijkstra", row_targets=tflat,
+        indptr, tg, wt, dist, seeds, tflat, n, k, view.batch_delta(k)
     )
     record_np_search("batch-dijkstra", stats.buckets, stats.expanded,
                      stats.improved, rows=k)
@@ -635,218 +529,3 @@ def np_batch_dijkstra(
             int(row_improved[r]), int(row_expanded[r]),
         )
     return [r for r in results if r is not None]
-
-
-def np_sssp_distances(
-    csr: "CSRGraph", source: int, backward: bool = False
-) -> List[float]:
-    """Vectorized twin of :func:`repro.search.dijkstra.sssp_distances`."""
-    xp = _numpy
-    view = _view(csr)
-    indptr, tg, wt = view.rows(backward)
-    dist = xp.full(view.n, Infinity)
-    dist[source] = 0.0
-    seeds = xp.array([source], dtype=xp.int64)
-    stats, _, _ = _joint_sweep(indptr, tg, wt, dist, seeds, view.n, 1,
-                               view.delta, Infinity, "sssp")
-    settled = int(xp.count_nonzero(xp.isfinite(dist)))
-    record_search(settled, stats.improved, stats.expanded)
-    record_np_search("sssp", stats.buckets, stats.expanded, stats.improved)
-    out: List[float] = dist.tolist()
-    return out
-
-
-def np_sssp_tree(
-    csr: "CSRGraph", source: int, backward: bool = False
-) -> Tuple[List[float], Dict[int, int]]:
-    """Vectorized twin of :func:`repro.search.dijkstra.sssp_tree`."""
-    xp = _numpy
-    view = _view(csr)
-    indptr, tg, wt = view.rows(backward)
-    dist = xp.full(view.n, Infinity)
-    dist[source] = 0.0
-    seeds = xp.array([source], dtype=xp.int64)
-    stats, _, _ = _joint_sweep(indptr, tg, wt, dist, seeds, view.n, 1,
-                               view.delta, Infinity, "sssp")
-    finite = xp.isfinite(dist)
-    settled = int(xp.count_nonzero(finite))
-    record_search(settled, stats.improved, stats.expanded)
-    record_np_search("sssp", stats.buckets, stats.expanded, stats.improved)
-    verts = xp.flatnonzero(finite & (xp.arange(view.n) != source))
-    parents = _resolve_parents(
-        view, backward, dist, verts, dist[verts], finite, source
-    )
-    out: List[float] = dist.tolist()
-    return out, parents
-
-
-def _ball_sweep(
-    csr: "CSRGraph", source: int, radius: float, backward: bool
-) -> Tuple[_NpView, Array, _SweepStats]:
-    xp = _numpy
-    view = _view(csr)
-    indptr, tg, wt = view.rows(backward)
-    dist = xp.full(view.n, Infinity)
-    dist[source] = 0.0
-    seeds = xp.array([source], dtype=xp.int64)
-    stats, _, _ = _joint_sweep(indptr, tg, wt, dist, seeds, view.n, 1,
-                               view.delta, radius, "bounded-ball")
-    return view, dist, stats
-
-
-def np_bounded_ball(
-    csr: "CSRGraph", source: int, radius: float, backward: bool = False
-) -> Tuple[Dict[int, float], int]:
-    """Vectorized twin of :func:`repro.search.dijkstra.bounded_ball`."""
-    xp = _numpy
-    view, dist, stats = _ball_sweep(csr, source, radius, backward)
-    members = xp.flatnonzero(dist <= radius)
-    done = dict(zip(members.tolist(), dist[members].tolist()))
-    visited = int(members.size)
-    record_search(visited, stats.improved, stats.expanded)
-    record_np_search("ball", stats.buckets, stats.expanded, stats.improved)
-    return done, visited
-
-
-def np_bounded_ball_tree(
-    csr: "CSRGraph", source: int, radius: float, backward: bool = False
-) -> Tuple[Dict[int, float], Dict[int, int], int]:
-    """Vectorized twin of :func:`repro.search.dijkstra.bounded_ball_tree`."""
-    xp = _numpy
-    view, dist, stats = _ball_sweep(csr, source, radius, backward)
-    members = xp.flatnonzero(dist <= radius)
-    done = dict(zip(members.tolist(), dist[members].tolist()))
-    visited = int(members.size)
-    record_search(visited, stats.improved, stats.expanded)
-    record_np_search("ball", stats.buckets, stats.expanded, stats.improved)
-    finite = xp.isfinite(dist)
-    verts = members[members != source]
-    parents = _resolve_parents(
-        view, backward, dist, verts, dist[verts], finite, source
-    )
-    return done, parents, visited
-
-
-def np_multi_bounded_ball_tree(
-    csr: "CSRGraph",
-    specs: Sequence[Tuple[int, bool]],
-    radius: float,
-) -> List[Tuple[Dict[int, float], Dict[int, int], int]]:
-    """Batched ball collection: one joint sweep per search direction.
-
-    ``specs`` is a sequence of ``(source, backward)`` ball requests sharing
-    one radius (R2R's four region balls).  Same-direction balls advance in
-    a single joint frontier over a ``(rows, n)`` distance sheet, so the
-    vectorized edge gather is shared instead of repeated per ball; each
-    ball still records its own :func:`record_search` so run counts match
-    the per-ball fallback.  Results align with ``specs``.
-    """
-    xp = _numpy
-    view = _view(csr)
-    n = view.n
-    results: List[Optional[Tuple[Dict[int, float], Dict[int, int], int]]]
-    results = [None] * len(specs)
-    for backward in (False, True):
-        rows = [i for i, (_, b) in enumerate(specs) if b is backward]
-        if not rows:
-            continue
-        indptr, tg, wt = view.rows(backward)
-        k = len(rows)
-        dist = xp.full(k * n, Infinity)
-        seeds = xp.empty(k, dtype=xp.int64)
-        for r, i in enumerate(rows):
-            seeds[r] = r * n + specs[i][0]
-        dist[seeds] = 0.0
-        stats, row_expanded, row_improved = _joint_sweep(
-            indptr, tg, wt, dist, seeds, n, k, view.batch_delta(k), radius,
-            "bounded-ball",
-        )
-        record_np_search("ball", stats.buckets, stats.expanded,
-                         stats.improved, rows=k)
-        for r, i in enumerate(rows):
-            source = specs[i][0]
-            row = dist[r * n : (r + 1) * n]
-            members = xp.flatnonzero(row <= radius)
-            done = dict(zip(members.tolist(), row[members].tolist()))
-            visited = int(members.size)
-            record_search(visited, int(row_improved[r]), int(row_expanded[r]))
-            verts = members[members != source]
-            parents = _resolve_parents(
-                view, backward, row, verts, row[verts], xp.isfinite(row), source
-            )
-            results[i] = (done, parents, visited)
-    out = [r for r in results if r is not None]
-    if len(out) != len(specs):  # pragma: no cover - structural invariant
-        raise ConfigurationError("np_multi_bounded_ball_tree missed a spec")
-    return out
-
-
-def np_one_to_many(
-    csr: "CSRGraph",
-    source: int,
-    targets: Iterable[int],
-    backward: bool = False,
-) -> Tuple[Dict[int, float], Dict[int, int], int]:
-    """Vectorized twin of :func:`repro.search.dijkstra.one_to_many`.
-
-    One frontier sweep answers the entire target set; the sweep stops at
-    the first bucket boundary that finalizes every reachable target.
-    """
-    xp = _numpy
-    view = _view(csr)
-    tset = sorted(set(int(t) for t in targets))
-    if not tset:
-        record_search(0, 0, 0)
-        record_np_search("one-to-many", 0, 0, 0)
-        return {}, {}, 0
-    tarr = xp.array(tset, dtype=xp.int64)
-    indptr, tg, wt = view.rows(backward)
-    dist = xp.full(view.n, Infinity)
-    dist[source] = 0.0
-    seeds = xp.array([source], dtype=xp.int64)
-
-    def targets_settled(top: float) -> bool:
-        dt = dist[tarr]
-        return bool(xp.isfinite(dt).all() and dt.max() < top)
-
-    stats, _, _ = _joint_sweep(indptr, tg, wt, dist, seeds, view.n, 1,
-                               view.delta, Infinity, "one-to-many",
-                               stop=targets_settled)
-    record_np_search("one-to-many", stats.buckets, stats.expanded, stats.improved)
-
-    found: Dict[int, float] = {}
-    finite = xp.isfinite(dist)
-    reachable = tarr[finite[tarr]]
-    if reachable.size < tarr.size:
-        # Some target is unreachable: the heap twin drains fully.
-        settled_mask = finite.copy()
-    else:
-        d_max = float(dist[reachable].max())
-        t_last = int(reachable[dist[reachable] == d_max].max())
-        settled_mask = finite & (
-            (dist < d_max)
-            | ((dist == d_max) & (xp.arange(view.n) <= t_last))
-        )
-    settled_mask[source] = True
-    for t in tset:
-        found[t] = float(dist[t]) if finite[t] else Infinity
-    visited = int(xp.count_nonzero(settled_mask))
-    record_search(visited, stats.improved, stats.expanded)
-
-    # Touched set: settled vertices plus the frontier they improved, with
-    # tentative distances as the heap twin would hold them at stop time.
-    settled_verts = xp.flatnonzero(settled_mask)
-    rep, eidx = _edge_gather(indptr, settled_verts)
-    tentative = xp.full(view.n, Infinity)
-    if eidx.size:
-        heads = tg[eidx].astype(xp.int64)
-        cand = dist[settled_verts][rep] + wt[eidx]
-        xp.minimum.at(tentative, heads, cand)
-    fringe = xp.flatnonzero(xp.isfinite(tentative) & ~settled_mask)
-    inner = settled_verts[settled_verts != source]
-    verts = xp.concatenate([inner, fringe])
-    want = xp.concatenate([dist[inner], tentative[fringe]])
-    parents = _resolve_parents(
-        view, backward, dist, verts, want, settled_mask, source
-    )
-    return found, parents, visited

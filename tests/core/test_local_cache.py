@@ -8,7 +8,12 @@ from repro.core.local_cache import LocalCacheAnswerer
 from repro.core.search_space import SearchSpaceDecomposer
 from repro.core.zigzag import ZigzagDecomposer
 from repro.exceptions import ConfigurationError
+from repro.network.generators import beijing_like
+from repro.queries.workload import WorkloadGenerator
 from repro.search.dijkstra import dijkstra
+from repro.search.np_kernels import BACKEND_KNOB, np_available
+
+from tests.conftest import assert_valid_path
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +123,58 @@ class TestValidation:
         answer = LocalCacheAnswerer(ring, order="given").answer(sse_decomposition)
         expected = [q for c in sse_decomposition for q in c.queries]
         assert [q for q, _ in answer.answers] == expected
+
+
+@pytest.fixture(scope="module")
+def hotspot_case():
+    """A frozen ``small`` network, its 400-query cache-band hotspot batch
+    (SSE-decomposed) and the dict-Dijkstra distance of every query."""
+    graph = beijing_like("small", seed=0)
+    oracle = graph.copy()  # never frozen: the dict-kernel oracle
+    graph.freeze()
+    batch = WorkloadGenerator(graph, seed=3).cache_band(400)
+    decomposition = SearchSpaceDecomposer(graph).decompose(batch)
+    truth = {q: dijkstra(oracle, q.source, q.target).distance for q in batch}
+    return graph, oracle, decomposition, truth
+
+
+class TestBatchOneToMany:
+    """``batch_one_to_many=True`` against the dict oracle, with the joint
+    numpy sweep answering leftover singletons (``auto``) and without it
+    (``csr``: per-query A*)."""
+
+    @pytest.mark.parametrize("backend", ["auto", "csr"])
+    def test_matches_dijkstra(self, monkeypatch, hotspot_case, backend):
+        graph, oracle, decomposition, truth = hotspot_case
+        monkeypatch.setenv(BACKEND_KNOB, backend)
+        sequential = LocalCacheAnswerer(graph, cache_bytes=200_000).answer(
+            decomposition
+        )
+        batched = LocalCacheAnswerer(
+            graph, cache_bytes=200_000, batch_one_to_many=True
+        ).answer(decomposition)
+
+        # Sequential: a miss is searched (exact), a hit is a cached
+        # sub-path whose re-summed length may differ in the last bits.
+        cached = [(q, r) for q, r in sequential.answers if r.visited == 0]
+        assert len(cached) == sequential.cache_hits == 99
+        for q, r in sequential.answers:
+            assert r.path[0] == q.source and r.path[-1] == q.target
+            if r.visited == 0:
+                assert math.isclose(r.distance, truth[q], rel_tol=1e-9)
+            else:
+                assert r.distance == truth[q]
+
+        # Batched: every lookup precedes every insert within a cluster,
+        # so nothing hits and every answer is searched.
+        assert batched.cache_hits == 0
+        assert batched.num_queries == 400
+        for q, r in batched.answers:
+            assert r.distance == truth[q]
+            assert_valid_path(oracle, r.path, q.source, q.target, r.distance)
+
+        # Shared execution costs VNN here: the singletons' joint sweep
+        # is plain Dijkstra, where the scalar fallback runs A*.
+        joint = backend == "auto" and np_available()
+        assert sequential.visited == 29_012
+        assert batched.visited == (98_016 if joint else 43_114)

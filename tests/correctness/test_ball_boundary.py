@@ -8,7 +8,7 @@ The strategy below draws graphs whose weights are small binary fractions
 vertex sitting precisely on the boundary, including vertices connected by
 zero-weight edges to boundary vertices (equal distance, also members).
 
-All three backends — dict graph, scalar CSR, vectorized numpy — must
+Both ball kernels — the dict loop and the scalar CSR kernel — must
 report identical membership and identical (bit-equal) distances.
 """
 
@@ -16,7 +16,6 @@ import math
 
 from hypothesis import given, strategies as st
 
-from repro.search import np_kernels
 from repro.search.csr_kernels import csr_bounded_ball, csr_bounded_ball_tree
 from repro.search.dijkstra import bounded_ball, bounded_ball_tree, sssp_distances
 
@@ -79,10 +78,3 @@ def test_boundary_membership_identical_across_backends(case):
     assert csr_bounded_ball(csr, source, radius, backward) == (ref_done, ref_visited)
     tree = csr_bounded_ball_tree(csr, source, radius, backward)
     assert tree[0] == ref_done and tree[2] == ref_visited
-
-    if np_kernels.np_available():
-        assert np_kernels.np_bounded_ball(csr, source, radius, backward) == (
-            ref_done, ref_visited,
-        )
-        np_tree = np_kernels.np_bounded_ball_tree(csr, source, radius, backward)
-        assert np_tree[0] == ref_done and np_tree[2] == ref_visited

@@ -117,16 +117,17 @@ def frozen_for(graph_key: str):
 
 
 class TestNumpyKernelsAgree:
-    """Delta-stepping / batched one-to-many / vectorized balls vs Dijkstra.
+    """The joint delta-stepping sweep vs Dijkstra.
 
     The pool graphs carry jittered weights, so finite distances are
-    distinct and the exactness contract covers paths, parents and visited
-    counts bit-for-bit — not just distances.
+    distinct and the exactness contract covers paths and visited counts
+    bit-for-bit — not just distances.
     """
 
     @given(graph_key_and_pair())
     @CORRECTNESS
     def test_np_point_kernels_match_dijkstra(self, drawn):
+        """A one-row batch: the joint sweep's single-query shape."""
         from repro.search import np_kernels
 
         if not np_kernels.np_available():
@@ -135,20 +136,10 @@ class TestNumpyKernelsAgree:
         graph = GRAPH_POOL[graph_key]
         csr = frozen_for(graph_key)
         truth = dijkstra(graph, source, target)
-        got = np_kernels.np_dijkstra(csr, source, target)
+        (got,) = np_kernels.np_batch_dijkstra(csr, [(source, target)])
         assert (got.distance, got.path, got.visited) == (
             truth.distance, truth.path, truth.visited,
-        ), f"np_dijkstra diverged on {graph_key}: {source}->{target}"
-        radius = truth.distance if math.isfinite(truth.distance) else 2.0
-        from repro.search.dijkstra import bounded_ball_tree, one_to_many
-
-        assert np_kernels.np_bounded_ball_tree(
-            csr, source, radius
-        ) == bounded_ball_tree(graph, source, radius)
-        targets = [target, source, (source + 1) % graph.num_vertices]
-        assert np_kernels.np_one_to_many(csr, source, targets) == one_to_many(
-            graph, source, targets
-        )
+        ), f"np one-row batch diverged on {graph_key}: {source}->{target}"
 
     @given(graph_key_and_batch(min_size=4, max_size=12))
     @CORRECTNESS
@@ -167,13 +158,6 @@ class TestNumpyKernelsAgree:
             assert (result.distance, result.path, result.visited) == (
                 truth.distance, truth.path, truth.visited,
             ), f"np_batch_dijkstra diverged on {graph_key}: {source}->{target}"
-        specs = [(pairs[0][0], False), (pairs[0][0], True),
-                 (pairs[0][1], False), (pairs[0][1], True)]
-        from repro.search.dijkstra import bounded_ball_tree
-
-        balls = np_kernels.np_multi_bounded_ball_tree(csr, specs, 2.5)
-        for (src, backward), ball in zip(specs, balls):
-            assert ball == bounded_ball_tree(graph, src, 2.5, backward)
 
     def test_mutation_query_interleaving(self):
         """np answers track mutations across refreeze boundaries."""
@@ -189,11 +173,11 @@ class TestNumpyKernelsAgree:
         edges = list(graph.edges())
         for round_no in range(6):
             csr = graph.freeze()
-            for _ in range(8):
-                s, t = rng.randrange(25), rng.randrange(25)
+            pairs = [(rng.randrange(25), rng.randrange(25)) for _ in range(8)]
+            got = np_kernels.np_batch_dijkstra(csr, pairs)
+            for (s, t), result in zip(pairs, got):
                 truth = dijkstra(graph, s, t)
-                got = np_kernels.np_dijkstra(csr, s, t)
-                assert (got.distance, got.path, got.visited) == (
+                assert (result.distance, result.path, result.visited) == (
                     truth.distance, truth.path, truth.visited,
                 ), f"diverged after {round_no} mutation rounds"
             for u, v, _w in rng.sample(edges, 4):
@@ -204,6 +188,7 @@ class TestNumpyKernelsAgree:
         with the scalar backend forced, and with numpy absent entirely."""
         from repro.network.generators import grid_city
         from repro.search import np_kernels
+        from repro.search.dijkstra import batch_dijkstra
 
         if not np_kernels.np_available():
             return
@@ -217,7 +202,7 @@ class TestNumpyKernelsAgree:
         def run():
             return [
                 (r.distance, tuple(r.path), r.visited)
-                for r in (dijkstra(frozen, s, t) for s, t in cases)
+                for r in batch_dijkstra(frozen, cases)
             ]
 
         monkeypatch.setenv(np_kernels.BACKEND_KNOB, "np")

@@ -30,19 +30,6 @@ from tests.conftest import assert_valid_path
 POINT_TO_POINT = (dijkstra, a_star, bidirectional_dijkstra, bidirectional_a_star)
 
 
-@pytest.fixture(autouse=True)
-def _scalar_backend(monkeypatch):
-    """Pin the scalar CSR backend for this module.
-
-    These assertions include heap pop-order bit-identity, which the
-    vectorized numpy sweeps only guarantee for distinct distances; an
-    ambient ``REPRO_KERNEL=np`` must not redirect dispatch here.  The
-    numpy kernels have their own differential suite in
-    ``tests/search/test_np_kernels.py``.
-    """
-    monkeypatch.setenv("REPRO_KERNEL", "csr")
-
-
 def _networks():
     """Three structurally different networks; fresh copies per test."""
     return [

@@ -1,18 +1,16 @@
-"""Differential suite for the vectorized numpy kernels.
+"""Differential suite for the joint numpy sweep ``np_batch_dijkstra``.
 
-The dict-graph searches are the oracle throughout: on distinct distances
-every numpy kernel must reproduce distances, paths, visited counts and
-membership sets bit-identically; on exact float ties (zero-weight edges)
-distances and membership stay bit-identical while tree/path tie-breaks
-may differ but must remain valid shortest paths.
+The dict-graph search is the oracle throughout: on distinct distances the
+sweep must reproduce distances, paths and visited counts bit-identically;
+on exact float ties (zero-weight edges) distances stay bit-identical while
+path tie-breaks may differ but must remain valid shortest paths.
 
 The module also covers the backend knob (``REPRO_KERNEL`` and the auto
-crossovers), transparent dispatch from the public entry points, the
-forced-no-numpy fallback, and cooperative deadline cancellation at
-bucket boundaries.
+crossover), dispatch from the public entry points (only
+``batch_dijkstra`` reaches numpy), the forced-no-numpy fallback, and
+cooperative deadline cancellation at bucket boundaries.
 """
 
-import math
 import random
 
 import pytest
@@ -25,13 +23,10 @@ from repro.resilience.deadline import Deadline, DeadlineExceededError, use_deadl
 from repro.search import np_kernels
 from repro.search.dijkstra import (
     batch_dijkstra,
-    bounded_ball,
     bounded_ball_tree,
     dijkstra,
     np_batch_active,
     one_to_many,
-    region_balls,
-    sssp_distances,
     sssp_tree,
 )
 
@@ -80,6 +75,7 @@ class TestKernelDifferential:
     """Direct kernel calls vs the dict oracle (no dispatch involved)."""
 
     def test_point_to_point(self):
+        # One-row batches: the sweep's k == 1 shape, zero-weight ties included.
         for seed, zero in case_seeds():
             graph = random_network(seed, zero=zero)
             csr = graph.freeze()
@@ -90,7 +86,7 @@ class TestKernelDifferential:
             for backward in (False, True):
                 for s, t in pairs:
                     ref = dijkstra(graph, s, t, backward)
-                    got = np_kernels.np_dijkstra(csr, s, t, backward)
+                    (got,) = np_kernels.np_batch_dijkstra(csr, [(s, t)], backward)
                     assert got.distance == ref.distance, (seed, s, t)
                     if zero:
                         if ref.path:
@@ -126,82 +122,6 @@ class TestKernelDifferential:
                         assert got.path == ref.path, (seed, s, t)
                         assert got.visited == ref.visited, (seed, s, t)
 
-    def test_sssp_distances_and_tree(self):
-        for seed, zero in case_seeds(count=8):
-            graph = random_network(seed, zero=zero)
-            csr = graph.freeze()
-            source = seed % graph.num_vertices
-            for backward in (False, True):
-                assert np_kernels.np_sssp_distances(
-                    csr, source, backward
-                ) == sssp_distances(graph, source, backward)
-                got_d, got_p = np_kernels.np_sssp_tree(csr, source, backward)
-                ref_d, ref_p = sssp_tree(graph, source, backward)
-                assert got_d == ref_d
-                if not zero:
-                    assert got_p == ref_p
-                else:
-                    # Tie-broken parents must still form a distance-exact tree.
-                    for v, u in got_p.items():
-                        assert got_d[v] == got_d[u] + graph.weight(
-                            *((u, v) if not backward else (v, u))
-                        )
-
-    def test_bounded_balls(self):
-        for seed, zero in case_seeds(count=10):
-            graph = random_network(seed, zero=zero)
-            csr = graph.freeze()
-            rng = random.Random(3000 + seed)
-            source = rng.randrange(graph.num_vertices)
-            radius = rng.random() * 4
-            for backward in (False, True):
-                assert np_kernels.np_bounded_ball(
-                    csr, source, radius, backward
-                ) == bounded_ball(graph, source, radius, backward)
-                got = np_kernels.np_bounded_ball_tree(csr, source, radius, backward)
-                ref = bounded_ball_tree(graph, source, radius, backward)
-                assert got[0] == ref[0] and got[2] == ref[2]
-                if not zero:
-                    assert got[1] == ref[1]
-
-    def test_multi_ball_matches_per_ball(self):
-        for seed, zero in case_seeds(count=8):
-            graph = random_network(seed, zero=zero)
-            csr = graph.freeze()
-            rng = random.Random(4000 + seed)
-            u, v = rng.randrange(50), rng.randrange(50)
-            radius = rng.random() * 4
-            specs = [(u, False), (u, True), (v, False), (v, True)]
-            got = np_kernels.np_multi_bounded_ball_tree(csr, specs, radius)
-            assert len(got) == len(specs)
-            for (src, backward), (done, parents, visited) in zip(specs, got):
-                ref = bounded_ball_tree(graph, src, radius, backward)
-                assert done == ref[0] and visited == ref[2]
-                if not zero:
-                    assert parents == ref[1]
-
-    def test_one_to_many(self):
-        for seed, zero in case_seeds(count=10):
-            graph = random_network(seed, zero=zero)
-            csr = graph.freeze()
-            rng = random.Random(5000 + seed)
-            n = graph.num_vertices
-            source = rng.randrange(n - 1)
-            targets = [rng.randrange(n) for _ in range(7)]
-            if seed % 2:
-                targets.append(n - 1)  # unreachable target drains the sweep
-            for backward in (False, True):
-                got = np_kernels.np_one_to_many(csr, source, targets, backward)
-                ref = one_to_many(graph, source, targets, backward)
-                assert got[0] == ref[0], (seed, backward)
-                if not zero:
-                    assert got[1] == ref[1] and got[2] == ref[2], (seed, backward)
-
-    def test_one_to_many_empty_targets(self):
-        graph = random_network(1)
-        csr = graph.freeze()
-        assert np_kernels.np_one_to_many(csr, 0, []) == ({}, {}, 0)
-
 
 @requires_numpy
 class TestBackendKnob:
@@ -210,38 +130,24 @@ class TestBackendKnob:
         with pytest.raises(ConfigurationError):
             np_kernels.kernel_backend()
 
-    def test_invalid_threshold_rejected(self, monkeypatch):
-        # Pin the backend to auto: an ambient REPRO_KERNEL=csr (the CI
-        # forced-fallback pass) would otherwise short-circuit np_active
-        # before the threshold knob is ever parsed.
-        monkeypatch.setenv(np_kernels.BACKEND_KNOB, "auto")
-        monkeypatch.setenv(np_kernels.AUTO_MIN_KNOB, "many")
-        graph = random_network(2)
-        csr = graph.freeze()
-        with pytest.raises(ConfigurationError):
-            np_kernels.np_active(csr)
-
     def test_csr_disables(self, monkeypatch):
         monkeypatch.setenv(np_kernels.BACKEND_KNOB, "csr")
         csr = random_network(2).freeze()
         assert not np_kernels.np_active(csr)
-        assert not np_kernels.np_active(csr, "batch")
 
     def test_np_forces(self, monkeypatch):
         monkeypatch.setenv(np_kernels.BACKEND_KNOB, "np")
         csr = random_network(2).freeze()
         assert np_kernels.np_active(csr)
-        assert np_kernels.np_active(csr, "batch")
 
     def test_auto_uses_size_crossovers(self, monkeypatch):
-        csr = random_network(2).freeze()  # 51 vertices
         monkeypatch.setenv(np_kernels.BACKEND_KNOB, "auto")
-        assert not np_kernels.np_active(csr)
-        monkeypatch.setenv(np_kernels.AUTO_MIN_KNOB, "10")
-        assert np_kernels.np_active(csr)
-        assert not np_kernels.np_active(csr, "batch")
-        monkeypatch.setenv(np_kernels.BATCH_MIN_KNOB, "10")
-        assert np_kernels.np_active(csr, "batch")
+        small = random_network(2).freeze()  # 51 vertices
+        assert small.num_vertices < np_kernels.BATCH_MIN_VERTICES
+        assert not np_kernels.np_active(small)
+        large = grid_city(23, 23, seed=1).freeze()  # 529 vertices
+        assert large.num_vertices >= np_kernels.BATCH_MIN_VERTICES
+        assert np_kernels.np_active(large)
 
     def test_warm_view_caches(self):
         csr = random_network(3).freeze()
@@ -254,9 +160,11 @@ class TestBackendKnob:
 
 @requires_numpy
 class TestDispatch:
-    """The public entry points route to the numpy kernels transparently."""
+    """Dispatch from the public entry points: only ``batch_dijkstra`` reaches numpy."""
 
     def test_forced_np_dispatch_bit_identical(self, monkeypatch):
+        """``REPRO_KERNEL=np`` moves only the joint batch sweep: every
+        single-search entry point stays on its scalar CSR kernel."""
         graph = grid_city(6, 6, spacing=1.0, seed=3)
         frozen = graph.copy()
         frozen.freeze()
@@ -267,15 +175,16 @@ class TestDispatch:
             for _ in range(25):
                 s, t = rng.randrange(36), rng.randrange(36)
                 got = dijkstra(frozen, s, t)
-                monkeypatch.setenv(np_kernels.BACKEND_KNOB, "csr")
                 ref = dijkstra(graph, s, t)
-                monkeypatch.setenv(np_kernels.BACKEND_KNOB, "np")
                 assert (got.distance, got.path, got.visited) == (
                     ref.distance, ref.path, ref.visited,
                 )
-        counters = registry.snapshot().counters
-        assert counters["csr.np_sweeps"] > 0
-        assert counters["csr.np_kind.dijkstra"] > 0
+                assert bounded_ball_tree(frozen, s, 2.5, True) == bounded_ball_tree(
+                    graph, s, 2.5, True
+                )
+                assert one_to_many(frozen, s, [t, 0]) == one_to_many(graph, s, [t, 0])
+            assert sssp_tree(frozen, 5) == sssp_tree(graph, 5)
+        assert "csr.np_sweeps" not in registry.snapshot().counters
 
     def test_batch_dispatch_and_helper(self, monkeypatch):
         graph = grid_city(6, 6, spacing=1.0, seed=3)
@@ -293,24 +202,13 @@ class TestDispatch:
             (r.distance, r.path, r.visited) for r in ref
         ]
 
-    def test_region_balls_dispatch(self, monkeypatch):
-        graph = grid_city(6, 6, spacing=1.0, seed=3)
-        frozen = graph.copy()
-        frozen.freeze()
-        specs = [(0, False), (0, True), (20, False), (20, True)]
-        monkeypatch.setenv(np_kernels.BACKEND_KNOB, "np")
-        got = region_balls(frozen, specs, 2.5)
-        monkeypatch.setenv(np_kernels.BACKEND_KNOB, "csr")
-        ref = region_balls(frozen, specs, 2.5)
-        assert got == ref
-
     def test_auto_skips_small_graphs(self, monkeypatch):
         monkeypatch.delenv(np_kernels.BACKEND_KNOB, raising=False)
         frozen = grid_city(5, 5, seed=1)
         frozen.freeze()
         registry = MetricsRegistry()
         with use_registry(registry):
-            dijkstra(frozen, 0, 24)
+            batch_dijkstra(frozen, [(0, 24), (3, 20)])
         assert "csr.np_sweeps" not in registry.snapshot().counters
 
 
@@ -353,7 +251,7 @@ class TestDeadline:
         deadline = Deadline(-1.0)  # already expired
         with use_deadline(deadline):
             with pytest.raises(DeadlineExceededError) as err:
-                np_kernels.np_dijkstra(csr, 0, graph.num_vertices - 1)
+                np_kernels.np_batch_dijkstra(csr, [(0, graph.num_vertices - 1)])
         assert err.value.where == "dijkstra"
 
     def test_expired_deadline_cancels_batch(self):

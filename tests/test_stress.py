@@ -68,18 +68,10 @@ class TestStress:
             assert math.isclose(r.distance, truth, rel_tol=1e-12)
 
     def test_multiprocess_speedup_possible(self, large_env):
-        """The mp runner handles thousands of queries without error."""
-        from repro.analysis.mp_runner import parallel_answer
-        from repro.core import SearchSpaceDecomposer
+        """The process pool handles thousands of queries without error."""
+        from repro.core import BatchProcessor
 
         batch = large_env.workload.batch(2000, *large_env.cache_band)
-        d = SearchSpaceDecomposer(large_env.graph).decompose(batch)
-        result = parallel_answer(
-            large_env.graph,
-            d,
-            answerer_kwargs={"cache_bytes": 10**6},
-            workers=4,
-            min_queries_per_worker=100,
-        )
-        assert result.answer.num_queries == len(batch)
-        assert result.workers > 1
+        answer = BatchProcessor(large_env.graph, workers=2).process(batch, "slc-s")
+        assert answer.num_queries == len(batch)
+        assert answer.workers > 1
