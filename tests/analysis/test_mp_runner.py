@@ -1,13 +1,17 @@
-"""Tests for the multiprocess batch runner (exactness across processes)."""
+"""Exactness of multiprocess batch answering.
+
+These checks once drove a separate runner; the one process engine is now
+:class:`~repro.parallel.ParallelBatchEngine`, so they drive it directly.
+"""
 
 import math
 
 import pytest
 
-from repro.analysis.mp_runner import parallel_answer
 from repro.core.coclustering import CoClusteringDecomposer
 from repro.core.search_space import SearchSpaceDecomposer
 from repro.exceptions import ConfigurationError
+from repro.parallel import ParallelBatchEngine
 from repro.search.dijkstra import dijkstra
 
 
@@ -16,9 +20,14 @@ def decomposition(ring, ring_batch):
     return SearchSpaceDecomposer(ring).decompose(ring_batch)
 
 
+def run_engine(graph, work, **options):
+    with ParallelBatchEngine(graph, **options) as engine:
+        return engine.execute(work)
+
+
 class TestParallelLocalCache:
     def test_exact_answers_across_processes(self, ring, ring_batch, decomposition):
-        result = parallel_answer(
+        outcome = run_engine(
             ring,
             decomposition,
             answerer_kind="local-cache",
@@ -26,26 +35,27 @@ class TestParallelLocalCache:
             workers=2,
             min_queries_per_worker=10,
         )
-        assert result.answer.num_queries == len(ring_batch)
-        for q, r in result.answer.answers:
+        assert outcome.report.workers == 2
+        assert outcome.answer.num_queries == len(ring_batch)
+        for q, r in outcome.answer.answers:
             truth = dijkstra(ring, q.source, q.target).distance
             assert math.isclose(r.distance, truth, rel_tol=1e-12)
 
     def test_falls_back_to_one_worker_for_small_batches(self, ring, decomposition):
-        result = parallel_answer(
+        outcome = run_engine(
             ring, decomposition, workers=8, min_queries_per_worker=10**6
         )
-        assert result.workers == 1
+        assert outcome.report.workers == 1
 
     def test_accounting_aggregated(self, ring, decomposition, ring_batch):
-        result = parallel_answer(
+        outcome = run_engine(
             ring,
             decomposition,
             answerer_kwargs={"cache_bytes": 10**6},
             workers=2,
             min_queries_per_worker=10,
         )
-        answer = result.answer
+        answer = outcome.answer
         assert answer.cache_hits + answer.cache_misses == len(ring_batch)
         assert answer.visited > 0
         assert answer.num_clusters == len(decomposition.clusters)
@@ -58,7 +68,7 @@ class TestParallelR2R:
         lo, hi = band_for_network(ring, "r2r")
         batch = ring_workload.batch(40, min_dist=lo, max_dist=hi)
         cc = CoClusteringDecomposer(ring, eta=0.05).decompose(batch)
-        result = parallel_answer(
+        outcome = run_engine(
             ring,
             cc,
             answerer_kind="r2r",
@@ -66,17 +76,17 @@ class TestParallelR2R:
             workers=2,
             min_queries_per_worker=5,
         )
-        assert result.answer.num_queries == len(batch)
-        for q, r in result.answer.answers:
+        assert outcome.answer.num_queries == len(batch)
+        for q, r in outcome.answer.answers:
             truth = dijkstra(ring, q.source, q.target).distance
             assert r.distance <= truth * 1.05 + 1e-9
 
 
 class TestValidation:
-    def test_bad_workers(self, ring, decomposition):
+    def test_bad_workers(self, ring):
         with pytest.raises(ConfigurationError):
-            parallel_answer(ring, decomposition, workers=0)
+            ParallelBatchEngine(ring, workers=0)
 
-    def test_bad_kind(self, ring, decomposition):
+    def test_bad_kind(self, ring):
         with pytest.raises(ConfigurationError):
-            parallel_answer(ring, decomposition, answerer_kind="quantum")
+            ParallelBatchEngine(ring, answerer_kind="quantum")
