@@ -578,7 +578,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         q: dijkstra(env.graph, q.source, q.target).distance
         for q in batch.deduplicated()
     }
-    for method in ("astar", "gc", "zlc", "slc-s", "slc-r", "zigzag-petal"):
+    for method in ("astar", "astar-alt", "gc", "zlc", "slc-s", "slc-r", "zigzag-petal"):
         answer = processor.process(batch, method)
         bad = sum(
             1

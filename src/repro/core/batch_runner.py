@@ -7,6 +7,7 @@ the names used in Section VI:
 name         decomposition                      answering
 ===========  =================================  ==============================
 ``astar``    none                               per-query A*
+``astar-alt``  none                             per-query A*, miss heuristic
 ``dijkstra`` none                               per-query Dijkstra
 ``gc``       none (20 % log builds the cache)   Global Cache [29]
 ``zlc``      Zigzag                             Local Cache, longest-first
@@ -36,6 +37,7 @@ from .zigzag import ZigzagDecomposer
 
 METHODS = (
     "astar",
+    "astar-alt",
     "dijkstra",
     "gc",
     "zlc",
@@ -168,6 +170,9 @@ class BatchProcessor:
 
         return {
             "astar": lambda q: OneByOneAnswerer(self.graph, "astar").answer(q, "astar"),
+            "astar-alt": lambda q: OneByOneAnswerer(self.graph, "astar-alt").answer(
+                q, "astar-alt"
+            ),
             "dijkstra": lambda q: OneByOneAnswerer(self.graph, "dijkstra").answer(
                 q, "dijkstra"
             ),

@@ -8,9 +8,10 @@ holding more than one cluster's cache in play.
 
 Within a cluster, queries are answered longest-first by default
 (observation 2 of Section V-A: long paths enter the cache early and short
-queries hit them).  A miss falls back to A* and the resulting path is
-cached if it fits.  Super-vertex matching is optional and off by default so
-results stay exact.
+queries hit them).  A miss falls back to A* — under the frozen snapshot's
+landmark (ALT) bound where one is available, Section IV-B's "Landmark
+estimation" — and the resulting path is cached if it fits.  Super-vertex
+matching is optional and off by default so results stay exact.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Iterable, List, Optional
 from ..exceptions import ConfigurationError
 from ..network.supervertex import SuperVertexMap
 from ..obs import get_registry, record_cache
-from ..search.astar import a_star
 from ..search.common import PathResult
 from ..search.dijkstra import batch_dijkstra, np_batch_active, one_to_many
+from ..search.landmarks import landmark_a_star
 from .cache import PathCache
 from .clusters import Decomposition, QueryCluster
 from .results import BatchAnswer
@@ -134,7 +135,7 @@ class LocalCacheAnswerer:
                     )
                 )
                 continue
-            result = a_star(self.graph, q.source, q.target)
+            result = landmark_a_star(self.graph, q.source, q.target)
             if result.found:
                 cache.insert(result.path)
             out.append((q, result))
@@ -192,7 +193,7 @@ class LocalCacheAnswerer:
             if np_batch_active(self.graph, len(pairs)):
                 answered = batch_dijkstra(self.graph, pairs)
             else:
-                answered = [a_star(self.graph, s, t) for s, t in pairs]
+                answered = [landmark_a_star(self.graph, s, t) for s, t in pairs]
             for i, result in zip(singles, answered):
                 if result.found:
                     cache.insert(result.path)

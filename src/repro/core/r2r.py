@@ -4,7 +4,8 @@ Given a dumbbell-shaped query cluster, R2R repeatedly:
 
 1. picks a representative query ``(u*, v*)`` from the remaining queries —
    the *longest* (R2R-S) or a *random* one (R2R-R);
-2. answers it exactly with A* to get ``d(u*, v*)`` and derives the region
+2. answers it exactly with A* (under the frozen snapshot's landmark bound
+   where one is available) to get ``d(u*, v*)`` and derives the region
    radius ``2 r* = 2 * eta * d / (8 + 4 eta)`` (Theorem 1 allows the factor
    2 because only the fixed representative anchors the approximation);
 3. collects the candidate source set ``C_s`` — vertices within ``2 r*`` of
@@ -27,9 +28,9 @@ from typing import Dict, List, Optional, Tuple
 from ..obs import get_registry
 from ..exceptions import ConfigurationError
 from ..queries.query import Query
-from ..search.astar import a_star
 from ..search.common import PathResult, reconstruct_path
 from ..search.dijkstra import bounded_ball_tree
+from ..search.landmarks import landmark_a_star
 from .clusters import Decomposition, QueryCluster
 from .results import BatchAnswer
 from .wspd import region_radius
@@ -124,7 +125,7 @@ class RegionToRegionAnswerer:
         while pending:
             rep = self._pick_representative(pending, rng)
             pending.remove(rep)
-            exact = a_star(graph, rep.source, rep.target)
+            exact = landmark_a_star(graph, rep.source, rep.target)
             batch.visited += exact.visited
             emit(rep, exact)
             if not exact.found or not pending:

@@ -118,6 +118,7 @@ class CSRGraph:
         "_coords",
         "_scratch",
         "_npview",
+        "_landmarks",
         "_shm",
         "_views",
     )
@@ -157,6 +158,9 @@ class CSRGraph:
         self._scratch: Optional[object] = None
         #: Lazily-built numpy views of the flat buffers (np_kernels).
         self._npview: Optional[object] = None
+        #: Lazily-built ALT landmark bounds of this snapshot (landmarks.py);
+        #: never pickled, so every process builds its own.
+        self._landmarks: Optional[object] = None
         self._shm: Optional["SharedMemory"] = None
         self._views: List[memoryview] = []
 
@@ -378,6 +382,7 @@ class CSRGraph:
         # numpy views hold buffer exports over the memoryviews below; they
         # must be dropped first or ``view.release()`` raises BufferError.
         self._npview = None
+        self._landmarks = None
         if shm is not None:
             self._frows = None
             self._rrows = None

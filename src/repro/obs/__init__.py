@@ -72,7 +72,9 @@ __all__ = [
     "record_decomposition",
     "record_fault",
     "record_freeze",
+    "record_heuristic",
     "record_journal",
+    "record_landmark_build",
     "record_np_search",
     "record_quarantine",
     "record_retry",
@@ -110,6 +112,32 @@ def record_search(settled: int, relaxations: int, heap_pops: int) -> None:
         reg.counter("search.settled").add(settled)
         reg.counter("search.relaxations").add(relaxations)
         reg.counter("search.heap_pops").add(heap_pops)
+
+
+def record_heuristic(landmarks: bool) -> None:
+    """Count one A* call under the bound it searched with.
+
+    ``search.heuristic.alt`` counts calls that got a snapshot's landmark
+    (ALT) bound, ``search.heuristic.euclid`` those on the scaled Euclidean
+    bound, so the two sum to the A* calls of a run.
+    """
+    reg = get_registry()
+    if reg.enabled:
+        reg.counter(
+            "search.heuristic.alt" if landmarks else "search.heuristic.euclid"
+        ).add(1)
+
+
+def record_landmark_build(seconds: float) -> None:
+    """Count one per-snapshot landmark build and its wall time.
+
+    The build's sweeps are not queries: they add nothing to
+    ``search.visited_total`` or ``search.heap_pops``.
+    """
+    reg = get_registry()
+    if reg.enabled:
+        reg.counter("search.landmark_builds").add(1)
+        reg.histogram("search.landmark_build_s", TIME_BUCKETS).observe(max(0.0, seconds))
 
 
 def record_np_search(

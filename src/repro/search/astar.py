@@ -4,6 +4,9 @@ The heuristic is ``graph.heuristic(u, t)``, i.e. the Euclidean distance
 scaled by the graph-wide minimum weight/Euclidean ratio, which keeps the
 search exact for travel-time weights as well as distance weights.  A custom
 heuristic callable (e.g. an ALT landmark bound) can be supplied instead.
+Every call counts once under ``search.heuristic.euclid`` (no callable) or
+``search.heuristic.alt`` (a supplied bound; in the package that is always
+:func:`repro.search.landmarks.landmark_heuristic`).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..obs import record_search
+from ..obs import record_heuristic, record_search
 from ..resilience.deadline import CHECK_MASK, active_deadline
 from .common import PathResult, reconstruct_path
 from .csr_kernels import csr_a_star, frozen_csr
@@ -31,6 +34,7 @@ def a_star(
     ``heuristic`` maps a vertex to an admissible lower bound on its distance
     to ``target``; when omitted the graph's scaled Euclidean bound is used.
     """
+    record_heuristic(heuristic is not None)
     csr = frozen_csr(graph)
     if csr is not None:
         return csr_a_star(csr, source, target, heuristic)

@@ -236,7 +236,7 @@ def _joint_sweep(
     weights: Array,
     dist: Array,
     seeds: Array,
-    row_targets: Array,
+    row_targets: Optional[Array],
     n: int,
     k: int,
     delta: float,
@@ -258,8 +258,10 @@ def _joint_sweep(
     ``row_targets`` (one flat id per row) retires each row at the first
     bucket boundary that finalizes its target — at that point every vertex
     with final distance below ``top`` is settled — dropping the row's
-    pending entries.  The cooperative deadline is checked on entry and
-    once per bucket.
+    pending entries.  ``None`` retires no row: the sweep runs until the
+    pending pool drains, leaving every row a full single-source distance
+    array.  The cooperative deadline is checked on entry and once per
+    bucket.
     """
     xp = _numpy
     stats = _SweepStats()
@@ -326,9 +328,10 @@ def _joint_sweep(
             defer = improved[~go]
             if defer.size:
                 pending.append(defer)
-        alive &= ~(dist[row_targets] < top)
-        if not bool(alive.any()):
-            break
+        if row_targets is not None:
+            alive &= ~(dist[row_targets] < top)
+            if not bool(alive.any()):
+                break
     return stats, row_expanded, row_improved
 
 

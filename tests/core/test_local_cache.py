@@ -174,7 +174,9 @@ class TestBatchOneToMany:
             assert_valid_path(oracle, r.path, q.source, q.target, r.distance)
 
         # Shared execution costs VNN here: the singletons' joint sweep
-        # is plain Dijkstra, where the scalar fallback runs A*.
+        # is plain Dijkstra, where the scalar fallback runs A*.  With
+        # numpy the long misses search under the landmark bound; ``csr``
+        # keeps the Euclidean bound for every miss.
         joint = backend == "auto" and np_available()
-        assert sequential.visited == 29_012
-        assert batched.visited == (98_016 if joint else 43_114)
+        assert sequential.visited == (14_832 if joint else 29_012)
+        assert batched.visited == (93_517 if joint else 43_114)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.network.generators import grid_city
+from repro.network.generators import beijing_like, grid_city
 from repro.network.timeline import TrafficTimeline, congestion_snapshot
 from repro.obs import MetricsRegistry, use_registry
 from repro.queries.arrivals import PoissonArrivals, TimedQuery
@@ -13,6 +13,7 @@ from repro.queries.query import Query
 from repro.queries.workload import WorkloadGenerator
 from repro.resilience import CircuitBreaker, REASON_SHED, STAGE_ADMISSION
 from repro.search.dijkstra import dijkstra
+from repro.search.np_kernels import np_available
 from repro.streaming import (
     TRIGGER_ADMISSION,
     StreamingQueryService,
@@ -93,6 +94,37 @@ class TestDeterminism:
             (w.index, w.trigger, w.queries, w.cut_at) for w in second.windows
         ]
         assert first.latencies == second.latencies
+
+    def test_fresh_replays_repeat_search_and_csr_counters(self, monkeypatch):
+        """Two replays of one seeded stream, each on its own freshly built
+        and frozen map under its own registry, count the same search work.
+        Landmarks are per snapshot, so each replay builds its own and the
+        traced exact counts repeat (the end-to-end benchmark exits 1 when
+        they do not)."""
+        monkeypatch.setenv("REPRO_KERNEL", "auto")
+
+        def replay():
+            graph = beijing_like("small", seed=0)
+            graph.freeze()
+            arrivals = PoissonArrivals(
+                WorkloadGenerator(graph, seed=5), rate=200.0, seed=9
+            ).duration(1.5)
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                report = run_service(graph, arrivals)
+            assert report.unaccounted_queries == 0
+            counters = registry.snapshot().counters
+            return {
+                name: value for name, value in counters.items()
+                if name.startswith(("search.", "csr."))
+            }
+
+        first, second = replay(), replay()
+        assert first == second
+        assert first["search.heap_pops"] > 0
+        if np_available():
+            assert first["search.landmark_builds"] == 1
+            assert first["search.heuristic.alt"] > 0
 
     def test_windows_match_pure_assembler_when_nothing_sheds(
         self, stream_graph, stream
