@@ -76,6 +76,18 @@ def r2r_suites(env, sizes):
     return exp.run_r2r_suite(env, sizes)
 
 
+@pytest.fixture(scope="session")
+def frozen_cache_suites(env, sizes):
+    """The cache suite's streams on a frozen copy with landmark misses."""
+    return exp.run_cache_suite(env, sizes, cache_fractions=(), frozen=True)
+
+
+@pytest.fixture(scope="session")
+def frozen_r2r_suites(env, sizes):
+    """The R2R suite's batches on a frozen copy with landmark misses."""
+    return exp.run_r2r_suite(env, sizes, frozen=True)
+
+
 def publish(result) -> None:
     """Print the paper-style artefact and persist both render formats."""
     print()

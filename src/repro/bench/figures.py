@@ -37,9 +37,13 @@ STYLES: Dict[str, MetricStyle] = {
     "fig7c": MetricStyle(unit="", kind="ratio", direction="higher", tolerance_pct=0.0),
     "fig7d": MetricStyle(),
     "fig7d_vnn": MetricStyle(unit="vertices", kind="count", tolerance_pct=0.0),
+    "fig7d_frozen": MetricStyle(),
+    "fig7d_vnn_frozen": MetricStyle(unit="vertices", kind="count", tolerance_pct=0.0),
     "fig7e": MetricStyle(),
     "fig7f": MetricStyle(),
     "fig7f_vnn": MetricStyle(unit="vertices", kind="count", tolerance_pct=0.0),
+    "fig7f_frozen": MetricStyle(),
+    "fig7f_vnn_frozen": MetricStyle(unit="vertices", kind="count", tolerance_pct=0.0),
     "fig8": MetricStyle(tolerance_pct=45.0),
     "table1": MetricStyle(unit="MB", kind="bytes", tolerance_pct=0.0),
     "table2": MetricStyle(unit="%", kind="ratio", tolerance_pct=0.0),

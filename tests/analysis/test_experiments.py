@@ -26,6 +26,16 @@ def r2r_suites(env):
     return exp.run_r2r_suite(env, SIZES)
 
 
+@pytest.fixture(scope="module")
+def frozen_cache_suites(env):
+    return exp.run_cache_suite(env, SIZES, cache_fractions=(), frozen=True)
+
+
+@pytest.fixture(scope="module")
+def frozen_r2r_suites(env):
+    return exp.run_r2r_suite(env, SIZES, frozen=True)
+
+
 class TestEnv:
     def test_env_bands_ordered(self, env):
         assert env.cache_band[0] < env.cache_band[1]
@@ -112,6 +122,43 @@ class TestR2RSuite:
             for report in suite.errors.values():
                 assert report.average_error >= 0.0
                 assert report.max_error >= report.average_error
+
+
+class TestFrozenSeries:
+    """The same streams answered on a frozen copy with landmark misses."""
+
+    def test_env_graph_stays_unfrozen(self, env, frozen_cache_suites):
+        assert env.graph.frozen_or_none() is None
+
+    def test_cache_series_adds_astar_alt(self, env, frozen_cache_suites):
+        methods = {"astar-alt", *exp.CACHE_METHODS}
+        for suite in frozen_cache_suites:
+            assert set(suite.answer_seconds) == methods
+            assert suite.sweep_hit_ratio == {}
+        result = exp.run_fig7d(env, frozen_cache_suites)
+        assert result.experiment == "fig7d_frozen"
+        assert set(result.series) == methods
+        assert "frozen snapshot" in result.rendered
+        vnn = exp.run_fig7d_vnn(env, frozen_cache_suites)
+        assert vnn.experiment == "fig7d_vnn_frozen"
+        assert list(vnn.series)[:2] == ["astar", "astar-alt"]
+
+    def test_caches_fill_as_on_the_dict_graph(self, cache_suites, frozen_cache_suites):
+        for dict_suite, frozen_suite in zip(cache_suites, frozen_cache_suites):
+            assert frozen_suite.gc_bytes == dict_suite.gc_bytes
+            for method in exp.CACHE_METHODS:
+                assert frozen_suite.hit_ratio[method] == dict_suite.hit_ratio[method]
+
+    def test_r2r_series_adds_astar_alt(self, env, r2r_suites, frozen_r2r_suites):
+        methods = {"astar-alt", *exp.R2R_METHODS}
+        for dict_suite, frozen_suite in zip(r2r_suites, frozen_r2r_suites):
+            assert set(frozen_suite.answer_seconds) == methods
+            for label in ("k-path", "r2r-s", "r2r-r"):
+                assert frozen_suite.errors[label] == dict_suite.errors[label]
+        assert exp.run_fig7f(env, frozen_r2r_suites).experiment == "fig7f_frozen"
+        vnn = exp.run_fig7f_vnn(env, frozen_r2r_suites)
+        assert vnn.experiment == "fig7f_vnn_frozen"
+        assert set(vnn.series) == methods
 
 
 class TestFig8:
