@@ -11,13 +11,19 @@ number of log queries each path can answer as a sub-path, the essence of
 At answering time the cache is read-only: hits are sliced out of cached
 paths, misses fall back to A* without updating the cache (cache refreshing
 belongs to [30] and is out of scope here, as in the paper).
+
+The build keeps the exact answer of every log query it searched
+(:attr:`GlobalCacheAnswerer.searched`): the |GC| protocol builds a Global
+Cache on the first 20 % of a batch only to size the Local Caches, and
+:class:`~repro.core.batch_runner.BatchProcessor` hands those answers to the
+Local Cache so its misses on the same pairs are not searched again.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.cache import PathCache, path_size_bytes
 from ..core.results import BatchAnswer
@@ -45,6 +51,9 @@ class GlobalCacheAnswerer:
         self.cache: Optional[PathCache] = None
         self.build_seconds = 0.0
         self.build_visited = 0
+        #: (source, target) -> the exact answer of every log query the
+        #: build searched (a log query the staging cache answered is absent).
+        self.searched: Dict[Tuple[int, int], PathResult] = {}
 
     # ------------------------------------------------------------------
     def build(self, log: QuerySet) -> PathCache:
@@ -57,6 +66,7 @@ class GlobalCacheAnswerer:
                 continue
             result = a_star(self.graph, q.source, q.target)
             self.build_visited += result.visited
+            self.searched[(q.source, q.target)] = result
             if result.found:
                 staging.insert(result.path)
                 paths.append(result.path)

@@ -19,17 +19,23 @@ name         decomposition                      answering
 ``zigzag-petal``  per-source petals             generalized A* [34]
 ``group``    Co-Clustering                      Group [25]
 ===========  =================================  ==============================
+
+The local-cache methods size every cache at |GC|, a Global Cache built on
+the first 20 % of the same batch (Section VI-A2).  That build searches its
+log queries exactly; within one :meth:`BatchProcessor.process` call the
+Local Cache's misses on the same pairs reuse those answers rather than
+searching again.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..exceptions import ConfigurationError
 from ..queries.query import QuerySet
 from .coclustering import CoClusteringDecomposer
-from .local_cache import LocalCacheAnswerer
+from .local_cache import KnownAnswers, LocalCacheAnswerer
 from .r2r import RegionToRegionAnswerer
 from .results import BatchAnswer
 from .search_space import SearchSpaceDecomposer
@@ -188,16 +194,21 @@ class BatchProcessor:
         }
 
     # ------------------------------------------------------------------
-    def _resolve_cache_bytes(self, queries: QuerySet) -> int:
-        """The paper's |GC| protocol: size the local caches like a GC build."""
+    def _resolve_cache_bytes(self, queries: QuerySet) -> Tuple[int, KnownAnswers]:
+        """The paper's |GC| protocol: size the local caches like a GC build.
+
+        Returns the budget and the exact answers the build searched, for
+        the Local Cache to reuse on its misses; an explicit ``cache_bytes``
+        skips the build, so there is nothing to reuse.
+        """
         from ..baselines.global_cache import GlobalCacheAnswerer, split_log_and_stream
 
         if self.cache_bytes is not None:
-            return self.cache_bytes
+            return self.cache_bytes, {}
         log, _ = split_log_and_stream(queries, self.log_fraction)
         gc = GlobalCacheAnswerer(self.graph)
         gc.build(log)
-        return max(gc.cache_bytes, 1)
+        return max(gc.cache_bytes, 1), gc.searched
 
     def _decomposer(self, kind: str):
         if kind == "zigzag":
@@ -210,7 +221,7 @@ class BatchProcessor:
 
     def _run_local_cache(self, queries: QuerySet, kind: str, order: str, label: str) -> BatchAnswer:
         start = time.perf_counter()
-        cache_bytes = self._resolve_cache_bytes(queries)
+        cache_bytes, known = self._resolve_cache_bytes(queries)
         decomposer = self._decomposer(kind)
         setup_seconds = time.perf_counter() - start
         decomposition = decomposer.decompose(queries)
@@ -223,9 +234,9 @@ class BatchProcessor:
             eviction=self.eviction,
         )
         if self.workers > 1 and label in self.PARALLEL_METHODS:
-            answer = self._run_parallel(answerer, decomposition, label)
+            answer = self._run_parallel(answerer, decomposition, label, known)
         else:
-            answer = answerer.answer(decomposition, method=label)
+            answer = answerer.answer(decomposition, method=label, known=known)
         answer.setup_seconds = setup_seconds
         return answer
 
@@ -238,7 +249,9 @@ class BatchProcessor:
             return self._run_parallel(answerer, decomposition, label)
         return answerer.answer(decomposition, method=label)
 
-    def _run_parallel(self, answerer, decomposition, label: str) -> BatchAnswer:
+    def _run_parallel(
+        self, answerer, decomposition, label: str, known: Optional[KnownAnswers] = None
+    ) -> BatchAnswer:
         # Imported lazily: repro.parallel pulls the answerers in, so a
         # module-scope import would be circular.
         from ..parallel import ParallelBatchEngine
@@ -248,7 +261,7 @@ class BatchProcessor:
         with ParallelBatchEngine.from_answerer(
             answerer, workers=self.workers, **options
         ) as engine:
-            return engine.execute(decomposition, method=label).answer
+            return engine.execute(decomposition, method=label, known=known).answer
 
     def _run_kpath(self, queries: QuerySet) -> BatchAnswer:
         from ..baselines.kpath import KPathAnswerer

@@ -79,12 +79,14 @@ __all__ = [
     "record_quarantine",
     "record_retry",
     "record_search",
+    "record_sizing_reuse",
     "record_shm_attach",
     "record_shm_share",
     "record_spawn_payload",
     "record_stream_cache",
     "record_stream_shed",
     "record_stream_window",
+    "record_vector_reused",
     "record_watchdog",
     "set_breaker_state",
     "set_stream_queue_depth",
@@ -126,6 +128,28 @@ def record_heuristic(landmarks: bool) -> None:
         reg.counter(
             "search.heuristic.alt" if landmarks else "search.heuristic.euclid"
         ).add(1)
+
+
+def record_vector_reused() -> None:
+    """Count one ALT heuristic vector served from its snapshot's memo.
+
+    A memo hit is a lookup, not a search: it adds nothing to
+    ``search.runs`` or ``search.heap_pops``.
+    """
+    reg = get_registry()
+    if reg.enabled:
+        reg.counter("search.heuristic.vector_reused").add(1)
+
+
+def record_sizing_reuse(count: int) -> None:
+    """Count Local Cache misses answered from the |GC| sizing's searches.
+
+    Each is still a cache miss (``cache.misses``) but no search: nothing
+    reaches ``search.runs`` or ``search.heap_pops``.
+    """
+    reg = get_registry()
+    if reg.enabled and count:
+        reg.counter("core.sizing_answers_reused").add(count)
 
 
 def record_landmark_build(seconds: float) -> None:

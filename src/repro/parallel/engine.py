@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.clusters import Decomposition, QueryCluster
+from ..core.local_cache import KnownAnswers
 from ..core.results import BatchAnswer
 from ..exceptions import (
     ConfigurationError,
@@ -344,6 +345,8 @@ class ParallelBatchEngine:
         # Distinct from the initial generation so a failure before the
         # first successful build still counts against the breaker.
         self._failed_generation = -2
+        #: Unit index -> the known answers of its pairs, for one execute().
+        self._unit_known: Dict[int, KnownAnswers] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -469,6 +472,7 @@ class ParallelBatchEngine:
         work: Union[Decomposition, QuerySet],
         method: Optional[str] = None,
         deadline: Optional[Deadline] = None,
+        known: Optional[KnownAnswers] = None,
     ) -> ParallelOutcome:
         """Answer ``work`` across the pool and merge deterministically.
 
@@ -486,6 +490,11 @@ class ParallelBatchEngine:
         :class:`~repro.exceptions.DeadlineExceededError` is never
         retried — the unit's queries are dead-lettered with reason
         ``deadline-exceeded``.
+
+        ``known`` (Local Cache only) maps ``(source, target)`` pairs to
+        exact answers already searched, which misses on those pairs reuse.
+        Each unit is shipped the entries of its own pairs, so the pool
+        answers exactly as the serial ``answer(..., known=known)`` does.
         """
         decomposition = self._as_decomposition(work)
         dead_letters: List[DeadLetterRecord] = []
@@ -494,6 +503,16 @@ class ParallelBatchEngine:
             cluster = self._validated_cluster(index, cluster, dead_letters)
             if len(cluster):
                 units.append((index, cluster))
+        self._unit_known = {}
+        if known:
+            for index, cluster in units:
+                mine = {
+                    pair: known[pair]
+                    for pair in {(q.source, q.target) for q in cluster.queries}
+                    if pair in known
+                }
+                if mine:
+                    self._unit_known[index] = mine
         num_valid = sum(len(cluster) for _, cluster in units)
         estimates = {index: self._estimate(cluster) for index, cluster in units}
         # Longest-estimated-first, index-stable for determinism.
@@ -742,19 +761,20 @@ class ParallelBatchEngine:
         quarantined: bool = False,
     ) -> BatchAnswer:
         t0 = time.perf_counter()
+        known = self._unit_known.get(index)
         if report.metrics is not None:
             # Mirror the worker path: run the unit under its own registry
             # and fold the snapshot into the fleet accumulator, so serial
             # and parallel runs report identical counter totals.
             unit_registry = MetricsRegistry()
             with use_registry(unit_registry):
-                answer = worker.answer_one(self._answerer, cluster)
+                answer = worker.answer_one(self._answerer, cluster, known)
             snapshot = unit_registry.snapshot()
             for span in snapshot.spans:
                 span["attrs"].update({"pid": 0, "unit": index})
             report.metrics.merge(snapshot)
         else:
-            answer = worker.answer_one(self._answerer, cluster)
+            answer = worker.answer_one(self._answerer, cluster, known)
         busy = time.perf_counter() - t0
         report.units.append(
             UnitTrace(
@@ -985,7 +1005,8 @@ class ParallelBatchEngine:
             worker.set_heartbeat(self._hb_queue)
         submitted = time.time()
         future = pool.submit(
-            worker.answer_unit, (index, cluster, collect, directive, budget)
+            worker.answer_unit,
+            (index, cluster, collect, directive, budget, self._unit_known.get(index)),
         )
         return _Pending(index, cluster, attempt, submitted, future)
 

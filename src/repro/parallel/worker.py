@@ -145,13 +145,24 @@ def release_attached() -> None:
             pass
 
 
-def answer_one(answerer, cluster: QueryCluster) -> BatchAnswer:
-    """Answer one work unit with ``answerer`` (any supported kind)."""
-    from ..baselines.one_by_one import OneByOneAnswerer
+def answer_one(answerer, cluster: QueryCluster, known=None) -> BatchAnswer:
+    """Answer one work unit with ``answerer`` (any supported kind).
 
+    ``known`` — exact answers for some of the unit's pairs — only ever
+    comes with a Local Cache answerer, whose misses reuse them.  Each unit
+    starts with an empty ALT vector memo, so its work and counters are the
+    same in any worker and in-process.
+    """
+    from ..baselines.one_by_one import OneByOneAnswerer
+    from ..search.landmarks import forget_vectors
+
+    forget_vectors(answerer.graph)
     if isinstance(answerer, OneByOneAnswerer):
         return answerer.answer(cluster.as_query_set())
-    return answerer.answer(Decomposition([cluster], "unit", 0.0))
+    unit = Decomposition([cluster], "unit", 0.0)
+    if known:
+        return answerer.answer(unit, known=known)
+    return answerer.answer(unit)
 
 
 def execute_directive(directive: FaultDirective, unit: int) -> None:
@@ -172,9 +183,9 @@ def execute_directive(directive: FaultDirective, unit: int) -> None:
         raise ConfigurationError(f"unknown fault directive {directive.kind!r}")
 
 
-def answer_unit(payload: Tuple[int, QueryCluster, bool, object, object]):
+def answer_unit(payload: Tuple[int, QueryCluster, bool, object, object, object]):
     """Pool task: answer one ``(index, cluster, collect_metrics, fault,
-    deadline_budget)`` unit.
+    deadline_budget, known)`` unit.
 
     Returns ``(index, BatchAnswer, pid, started_wall, busy_seconds,
     metrics_snapshot_or_None)``; ``started_wall`` is ``time.time()`` so the
@@ -190,13 +201,16 @@ def answer_unit(payload: Tuple[int, QueryCluster, bool, object, object]):
     this process's own monotonic clock (a :class:`Deadline` holds an
     absolute instant, which does not transfer between processes); the
     resulting :class:`~repro.exceptions.DeadlineExceededError` pickles
-    home through the result pipe.
+    home through the result pipe.  ``known`` is ``None`` or the exact
+    answers of the unit's own pairs that its misses reuse (see
+    :meth:`~repro.parallel.ParallelBatchEngine.execute`).
 
     Heartbeats bracket the unit (start/done) so the parent's watchdog can
     tell a busy worker from a hung one.
     """
     index, cluster, collect, fault, *rest = payload
     budget = rest[0] if rest else None  # legacy 4-tuple: no deadline
+    known = rest[1] if len(rest) > 1 else None
     if _ANSWERER is None:  # pragma: no cover - engine always initialises
         raise ConfigurationError("worker used before initialisation")
     _beat(HEARTBEAT_START, index)
@@ -208,7 +222,7 @@ def answer_unit(payload: Tuple[int, QueryCluster, bool, object, object]):
         t0 = time.perf_counter()
         if not collect:
             with use_deadline(deadline):
-                answer = answer_one(_ANSWERER, cluster)
+                answer = answer_one(_ANSWERER, cluster, known)
             busy = time.perf_counter() - t0
             return index, answer, os.getpid(), started, busy, None
         global _ATTACH_PENDING
@@ -220,7 +234,7 @@ def answer_unit(payload: Tuple[int, QueryCluster, bool, object, object]):
             registry.counter("csr.shm_attached_bytes").add(_ATTACHED.nbytes)
             _ATTACH_PENDING = False
         with use_registry(registry), use_deadline(deadline):
-            answer = answer_one(_ANSWERER, cluster)
+            answer = answer_one(_ANSWERER, cluster, known)
         busy = time.perf_counter() - t0
         pid = os.getpid()
         snapshot = registry.snapshot()

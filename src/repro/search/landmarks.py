@@ -19,8 +19,12 @@ Two forms live here:
   built lazily by :func:`snapshot_landmarks` on the snapshot's first miss
   with two joint numpy sweeps, and dies with the snapshot — a new
   ``graph.version`` is a new snapshot and so new landmarks, which keeps the
-  bound exact in every weight epoch.  Without numpy, on a mutable graph,
-  under ``REPRO_KERNEL=csr`` or for a miss too short to pay for its
+  bound exact in every weight epoch.  Each heuristic vector costs O(n), so
+  the provider keeps the last :data:`VECTOR_MEMO` of them keyed by target:
+  the misses of a batch share few targets (hotspots), and a repeated target
+  reads its vector back instead of rebuilding it.  The memo lives on the
+  provider, so it too dies with the snapshot.  Without numpy, on a mutable
+  graph, under ``REPRO_KERNEL=csr`` or for a miss too short to pay for its
   vector (:data:`MIN_LENGTH_SHARE`) the Euclidean bound stays.
 * :class:`LandmarkIndex` is the dict-graph form over Python lists, kept
   for :func:`~repro.search.generalized_astar.generalized_a_star`'s
@@ -33,10 +37,10 @@ import math
 import random
 import time
 from array import array
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..exceptions import IndexConstructionError
-from ..obs import record_landmark_build
+from ..obs import record_landmark_build, record_vector_reused
 from ..resilience.deadline import use_deadline
 from . import np_kernels
 from .astar import a_star
@@ -46,6 +50,10 @@ from .dijkstra import sssp_distances
 
 #: Landmarks per snapshot: forward and backward rows make a ``(16, n)`` array.
 NUM_LANDMARKS = 8
+
+#: Heuristic vectors a snapshot keeps, least recently used out first:
+#: ``8 * n`` floats, ~1.3 MB on ``xlarge``.
+VECTOR_MEMO = 8
 
 #: A miss shorter than this share of the snapshot's extent keeps the
 #: Euclidean bound.  The landmark vector costs O(n) per miss whatever the
@@ -103,7 +111,7 @@ class SnapshotLandmarks:
     0, hence consistent, and ``csr_a_star``'s closed set stays exact.
     """
 
-    __slots__ = ("landmarks", "rows", "min_length")
+    __slots__ = ("landmarks", "rows", "min_length", "_vectors")
 
     def __init__(self, csr: Any) -> None:
         xp = np_kernels._numpy
@@ -120,11 +128,27 @@ class SnapshotLandmarks:
         xp.negative(rows[:k], out=rows[:k])
         rows[k:] = _sssp_rows(view, self.landmarks, backward=True)
         self.rows = rows
+        #: target -> its heuristic vector, least recently used first.
+        self._vectors: Dict[int, array[float]] = {}
 
     def heuristic(self, target: int) -> Callable[[int], float]:
-        """``h(u)``, a lower bound on ``d(u, target)``, read from one
-        transient vector built for this call (nothing is cached across
-        targets)."""
+        """``h(u)``, a lower bound on ``d(u, target)``, read from the
+        target's vector: built on first use and kept among the last
+        :data:`VECTOR_MEMO` targets, so a repeated target reuses it
+        (counted by ``search.heuristic.vector_reused``)."""
+        vectors = self._vectors
+        vector = vectors.pop(target, None)
+        if vector is not None:
+            record_vector_reused()
+        else:
+            vector = self._vector(target)
+            if len(vectors) >= VECTOR_MEMO:
+                del vectors[next(iter(vectors))]
+        vectors[target] = vector
+        return vector.__getitem__
+
+    def _vector(self, target: int) -> array[float]:
+        """The bound toward ``target`` at every vertex, as Python floats."""
         xp = np_kernels._numpy
         rows = self.rows
         pivot = rows[:, target].tolist()
@@ -135,7 +159,7 @@ class SnapshotLandmarks:
                 xp.subtract(row, at_target, out=term)
                 xp.fmax(bound, term, out=bound)
         # A Python-float vector: the kernel reads it once per push.
-        return array("d", bound.tobytes()).__getitem__
+        return array("d", bound.tobytes())
 
 
 def snapshot_landmarks(graph: Any) -> Optional[SnapshotLandmarks]:
@@ -161,6 +185,19 @@ def snapshot_landmarks(graph: Any) -> Optional[SnapshotLandmarks]:
         csr._landmarks = provider  # noqa: SLF001
         record_landmark_build(time.perf_counter() - start)
     return provider
+
+
+def forget_vectors(graph: Any) -> None:
+    """Empty the vector memo of ``graph``'s snapshot landmarks, if built.
+
+    The parallel engine calls this at the start of every work unit: the
+    memo is per process, and a unit must reuse (and count) the same
+    vectors whichever process ran the units before it.
+    """
+    csr = frozen_csr(graph)
+    provider = csr._landmarks if csr is not None else None  # noqa: SLF001
+    if isinstance(provider, SnapshotLandmarks):
+        provider._vectors.clear()  # noqa: SLF001
 
 
 def landmark_heuristic(

@@ -123,6 +123,25 @@ class TestR2RSuite:
                 assert report.average_error >= 0.0
                 assert report.max_error >= report.average_error
 
+    def test_cells_time_the_median_of_rounds(self):
+        from repro.core.results import BatchAnswer
+
+        calls = []
+
+        def run(name, seconds):
+            def answer():
+                calls.append(name)
+                return BatchAnswer(method=name, answer_seconds=seconds.pop(0))
+
+            return answer
+
+        answers = exp._median_timed(  # noqa: SLF001
+            {"a": run("a", [3.0, 1.0, 2.0]), "b": run("b", [9.0, 5.0, 7.0])}, 3
+        )
+        assert calls == ["a", "b"] * 3  # every method once per round
+        assert answers["a"].answer_seconds == 2.0
+        assert answers["b"].answer_seconds == 7.0
+
 
 class TestFrozenSeries:
     """The same streams answered on a frozen copy with landmark misses."""

@@ -44,6 +44,10 @@ class TestBuild:
         gc = GlobalCacheAnswerer(ring)
         cache = gc.build(log)
         assert cache.num_paths == 1
+        # Only the searched log query keeps its answer.
+        assert list(gc.searched) == [(1, 100)]
+        assert gc.searched[(1, 100)].path == path
+        assert gc.searched[(1, 100)].visited == gc.build_visited
 
     def test_capacity_keeps_most_beneficial(self, ring, ring_batch):
         log, _ = split_log_and_stream(ring_batch, 0.5)

@@ -160,3 +160,26 @@ def test_two_workers_match_serial_and_build_their_own(monkeypatch):
     assert answers_key(parallel) == answers_key(serial)
     assert parallel.visited == serial.visited
     assert parallel.cache_hits == serial.cache_hits
+
+
+def test_engine_units_reuse_the_same_vectors_in_any_process(monkeypatch, case):
+    """The vector memo is per process; each engine unit starts it empty, so
+    in-process and pooled runs reuse (and count) the same vectors."""
+    from repro.parallel import ParallelBatchEngine
+
+    monkeypatch.setenv(BACKEND_KNOB, "auto")
+    graph, _, sse, _, _ = case
+    counts = {}
+    for workers in (1, 2):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            with ParallelBatchEngine(
+                graph, workers=workers, answerer_kwargs={"cache_bytes": 200_000}
+            ) as engine:
+                engine.execute(sse)
+        counts[workers] = registry.snapshot().counters.get(
+            "search.heuristic.vector_reused", 0
+        )
+    assert counts[1] == counts[2]
+    if np_available():
+        assert counts[1] > 0

@@ -23,10 +23,12 @@ from repro.search.dijkstra import dijkstra
 from repro.search.landmarks import (
     MIN_LENGTH_SHARE,
     NUM_LANDMARKS,
+    VECTOR_MEMO,
     LandmarkIndex,
     SnapshotLandmarks,
     landmark_a_star,
     landmark_heuristic,
+    snapshot_landmarks,
 )
 from repro.search.np_kernels import BACKEND_KNOB, np_available
 
@@ -273,6 +275,45 @@ class TestSnapshotLandmarks:
         assert second is not first
         assert second._landmarks is not None  # noqa: SLF001
         assert second._landmarks is not old  # noqa: SLF001
+
+    def test_memo_hit_is_bit_identical_to_a_fresh_vector(self, frozen_ring):
+        provider = SnapshotLandmarks(frozen_ring.freeze())
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            first = provider.heuristic(70)
+            again = provider.heuristic(70)
+        fresh = SnapshotLandmarks(frozen_ring.freeze()).heuristic(70)
+        for u in range(frozen_ring.num_vertices):
+            assert again(u) == first(u) == fresh(u), u
+        counters = registry.snapshot().counters
+        assert counters["search.heuristic.vector_reused"] == 1
+        assert "search.runs" not in counters
+        assert "search.heap_pops" not in counters
+
+    def test_memo_keeps_the_last_targets_only(self, frozen_ring):
+        provider = SnapshotLandmarks(frozen_ring.freeze())
+        memo = provider._vectors  # noqa: SLF001
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            for t in range(3 * VECTOR_MEMO):
+                provider.heuristic(t)
+                assert len(memo) <= VECTOR_MEMO
+            assert list(memo) == list(range(2 * VECTOR_MEMO, 3 * VECTOR_MEMO))
+            provider.heuristic(2 * VECTOR_MEMO)  # a hit moves to the back
+            provider.heuristic(0)  # evicts the least recently used
+        assert 2 * VECTOR_MEMO in memo and 2 * VECTOR_MEMO + 1 not in memo
+        assert len(memo) == VECTOR_MEMO
+        assert registry.snapshot().counters["search.heuristic.vector_reused"] == 1
+
+    def test_new_version_starts_with_an_empty_memo(self, frozen_ring):
+        first = frozen_ring.freeze()
+        landmark_heuristic(frozen_ring, 0, 70)
+        assert 70 in first._landmarks._vectors  # noqa: SLF001
+        u, v, w = next(iter(frozen_ring.edges()))
+        frozen_ring.set_weight(u, v, w * 0.5)
+        second = frozen_ring.freeze()
+        snapshot_landmarks(frozen_ring)
+        assert second._landmarks._vectors == {}  # noqa: SLF001
 
     def test_not_pickled_and_dropped_on_release(self, frozen_ring):
         csr = frozen_ring.freeze()
